@@ -18,17 +18,16 @@ checkpoint-interval sweep whose interior optimum reproduces the classic
 Daly/Young trade-off (short intervals pay dumps, long intervals pay
 rework).
 
-A machine-readable record is written to ``BENCH_faults.json`` so downstream
-tooling can track the curves across revisions (guarded by
-``tests/test_bench_records.py``).
+Under ``pytest --update-bench`` a machine-readable record is written to
+``BENCH_faults.json`` so downstream tooling can track the curves across
+revisions (guarded by ``tests/test_bench_records.py``).
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
-from conftest import emit
+from conftest import emit, write_record
 
 from repro.apps.workloads import lu_class
 from repro.backends import get_backend
@@ -64,7 +63,7 @@ def _time_us(backend, spec, platform, grid) -> float:
     return backend.evaluate(spec, platform, grid).time_per_iteration_us
 
 
-def test_fault_layer_contracts(benchmark, xt4):
+def test_fault_layer_contracts(benchmark, xt4, update_bench):
     spec = lu_class("A")
     grid = decompose(TOTAL_CORES)
     clear_prediction_cache()
@@ -185,8 +184,7 @@ def test_fault_layer_contracts(benchmark, xt4):
         },
         "contract_fault_free_max_abs_deviation_us": 0.0,
     }
-    RECORD_PATH.write_text(json.dumps(record, indent=2) + "\n")
-    emit(f"wrote {RECORD_PATH.name}")
+    write_record(RECORD_PATH, record, update_bench)
 
     # Steady-state timing of the full fault-injecting event-engine run.
     faulty_platform = xt4.with_faults(HARSH_FAULTS)

@@ -13,18 +13,18 @@ backend is the discrete-event simulator or a fine-grained sweep):
   the exhaustive optimum exactly (within one grid step), demonstrating the
   acceptance-criterion configuration end to end.
 
-A machine-readable record is written to ``BENCH_optimize.json`` (committed
-at the repo root); ``tests/test_bench_records.py`` re-asserts the recorded
-contracts in tier-1 so a stale or regressed record fails CI.
+Under ``pytest --update-bench`` a machine-readable record is written to
+``BENCH_optimize.json`` (committed at the repo root);
+``tests/test_bench_records.py`` re-asserts the recorded contracts in tier-1
+so a stale or regressed record fails CI.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
-from conftest import emit
+from conftest import emit, write_record
 
 from repro.optimize import OptimizationSpace, optimize
 from repro.util.tables import Table
@@ -104,7 +104,7 @@ def _run_case(app: str, total_cores: int, grid: tuple, assert_ratio: bool) -> di
     }
 
 
-def test_golden_section_needs_10x_fewer_evaluations(benchmark):
+def test_golden_section_needs_10x_fewer_evaluations(benchmark, update_bench):
     cases = [
         _run_case("chimaera-240", 4096, FINE_GRID, assert_ratio=True),
         _run_case("sweep3d-20m", 4096, PAPER_GRID, assert_ratio=False),
@@ -139,8 +139,7 @@ def test_golden_section_needs_10x_fewer_evaluations(benchmark):
         "contract_max_quality_ratio": MAX_QUALITY_RATIO,
         "cases": cases,
     }
-    RECORD_PATH.write_text(json.dumps(record, indent=2) + "\n")
-    emit(f"wrote {RECORD_PATH.name}: ratio={cases[0]['eval_ratio']:.1f}x")
+    write_record(RECORD_PATH, record, update_bench)
 
     # Steady-state golden-section timing for the regression record (the
     # prediction caches are warm, so this times the search logic itself).

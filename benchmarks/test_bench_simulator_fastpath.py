@@ -11,17 +11,17 @@ asserts the engine contract:
 * aggregated and per-rank agree to within 1e-9 relative at 4096 cores, and
 * the aggregated engine is at least 10x faster there.
 
-A machine-readable record is written to ``BENCH_simulator.json`` so that
-downstream tooling can track the speedup across revisions.
+Under ``pytest --update-bench`` a machine-readable record is written to
+``BENCH_simulator.json`` so that downstream tooling can track the speedup
+across revisions.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
-from conftest import emit
+from conftest import emit, write_record
 
 from repro.apps.chimaera import chimaera
 from repro.core.decomposition import ProblemSize, ProcessorGrid
@@ -49,7 +49,7 @@ def _time_once(spec, platform, engine: str) -> tuple[float, object]:
     return time.perf_counter() - start, result
 
 
-def test_simulator_fastpath_speedup_4096(benchmark, xt4_single):
+def test_simulator_fastpath_speedup_4096(benchmark, xt4_single, update_bench):
     spec = _spec()
     event_s, event = _time_once(spec, xt4_single, "event")
     fast_s, fast = _time_once(spec, xt4_single, "aggregated")
@@ -84,8 +84,7 @@ def test_simulator_fastpath_speedup_4096(benchmark, xt4_single):
         "contract_min_speedup": MIN_SPEEDUP,
         "contract_rel_tol": REL_TOL,
     }
-    RECORD_PATH.write_text(json.dumps(record, indent=2) + "\n")
-    emit(f"wrote {RECORD_PATH.name}: speedup={speedup:.1f}x")
+    write_record(RECORD_PATH, record, update_bench)
 
     # Steady-state aggregated-engine timing for the regression record.
     benchmark(simulate_wavefront, spec, xt4_single, grid=GRID, engine="aggregated")

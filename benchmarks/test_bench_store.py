@@ -17,6 +17,7 @@ this benchmark pins each one down with a number in ``BENCH_store.json``:
   mid-run; ``resume=True`` must salvage the scratch commits and a final
   re-run must compute exactly zero points.
 
+``pytest --update-bench`` rewrites the record;
 ``tests/test_bench_records.py`` guards the committed record's schema and
 re-asserts these contracts.
 """
@@ -32,7 +33,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from conftest import emit
+from conftest import emit, write_record
 
 from repro.campaigns import CampaignSpec, ResultStore, run_campaign
 from repro.campaigns.segments import SEGMENT_NAMES
@@ -247,7 +248,7 @@ def _measure_kill_resume() -> dict:
     }
 
 
-def test_store_open_commit_and_resume_contracts(benchmark):
+def test_store_open_commit_and_resume_contracts(benchmark, update_bench):
     open_stats = _measure_open_ratio()
     commit_stats = _measure_commit_throughput()
     merge_stats = _measure_shard_merge()
@@ -295,12 +296,7 @@ def test_store_open_commit_and_resume_contracts(benchmark):
         "contract_min_open_ratio": MIN_OPEN_RATIO,
         "contract_min_put_many_speedup": MIN_PUT_MANY_SPEEDUP,
     }
-    RECORD_PATH.write_text(json.dumps(record, indent=2) + "\n")
-    emit(
-        f"wrote {RECORD_PATH.name}: open_ratio="
-        f"{open_stats['open_ratio']:.1f}x, put_many_speedup="
-        f"{commit_stats['put_many_speedup']:.1f}x"
-    )
+    write_record(RECORD_PATH, record, update_bench)
 
     # Steady-state open timing for the regression harness.
     steady = Path(tempfile.mkdtemp(prefix="bench-store-")) / "steady.store"

@@ -14,18 +14,21 @@ backend contract:
   µs; the two paths are in fact bit-identical), and
 * ``analytic-vec`` is at least 10x faster on the full grid.
 
-A machine-readable record is written to ``BENCH_vec.json`` so downstream
-tooling can track the speedup across revisions (guarded by
-``tests/test_bench_records.py``).
+Each backend's time is the best of ``ROUNDS`` cold rounds (memos cleared
+and garbage collected before every round, the two backends alternating),
+so one slow round on a shared host cannot sink the ratio.  Under
+``pytest --update-bench`` a machine-readable record is written to
+``BENCH_vec.json`` so downstream tooling can track the speedup across
+revisions (guarded by ``tests/test_bench_records.py``).
 """
 
 from __future__ import annotations
 
-import json
+import gc
 import time
 from pathlib import Path
 
-from conftest import emit
+from conftest import emit, write_record
 
 from repro.apps.workloads import chimaera_240cubed
 from repro.backends import PredictionRequest, predict_many
@@ -40,6 +43,8 @@ CORE_COUNTS = (
 )
 ABS_TOL = 1e-9
 MIN_SPEEDUP = 10.0
+#: Cold rounds per backend; each backend's time is its best round.
+ROUNDS = 5
 RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_vec.json"
 
 
@@ -55,16 +60,24 @@ def _design_matrix(platform):
 
 def _time_backend(requests, backend: str) -> tuple[float, list]:
     clear_prediction_cache()
+    # Start from a collected heap: cyclic garbage left by earlier tests (the
+    # simulator's, say) otherwise slows whichever round runs next, doubling
+    # the vec time in a full tier-1 run.
+    gc.collect()
     start = time.perf_counter()
     results = predict_many(requests, backend=backend)
     return time.perf_counter() - start, results
 
 
-def test_vec_backend_speedup_10k_grid(benchmark):
+def test_vec_backend_speedup_10k_grid(benchmark, update_bench):
     platform = cray_xt4_quad_chip()
     requests = _design_matrix(platform)
-    fast_s, fast = _time_backend(requests, "analytic-fast")
-    vec_s, vec = _time_backend(requests, "analytic-vec")
+    fast_s = vec_s = float("inf")
+    for _ in range(ROUNDS):
+        seconds, fast = _time_backend(requests, "analytic-fast")
+        fast_s = min(fast_s, seconds)
+        seconds, vec = _time_backend(requests, "analytic-vec")
+        vec_s = min(vec_s, seconds)
 
     max_abs_deviation = max(
         abs(a.time_per_iteration_us - b.time_per_iteration_us)
@@ -98,13 +111,13 @@ def test_vec_backend_speedup_10k_grid(benchmark):
         "core_counts": list(CORE_COUNTS),
         "analytic_fast_s": fast_s,
         "analytic_vec_s": vec_s,
+        "rounds": ROUNDS,
         "speedup": speedup,
         "max_abs_deviation_us": max_abs_deviation,
         "contract_min_speedup": MIN_SPEEDUP,
         "contract_abs_tol_us": ABS_TOL,
     }
-    RECORD_PATH.write_text(json.dumps(record, indent=2) + "\n")
-    emit(f"wrote {RECORD_PATH.name}: speedup={speedup:.1f}x")
+    write_record(RECORD_PATH, record, update_bench)
 
     # Steady-state vec timing (memo cleared each round) for the regression
     # record.

@@ -2,8 +2,8 @@
 
 Lives at the repository root (not under ``tests/``) because
 ``pytest_addoption`` only takes effect in *initial* conftests - this way
-``pytest --update-golden`` works from the root invocation the CI and the
-docs use.
+``pytest --update-golden`` and ``pytest --update-bench`` work from the root
+invocation the CI and the docs use.
 
 Hypothesis profiles are registered here too (the root conftest is imported
 before any test module, which is what profile registration requires):
@@ -35,8 +35,21 @@ def pytest_addoption(parser: pytest.Parser) -> None:
         help="regenerate tests/data/golden_predictions.json from the current "
         "model instead of asserting against it (see docs/platforms.md)",
     )
+    parser.addoption(
+        "--update-bench",
+        action="store_true",
+        default=False,
+        help="rewrite the committed BENCH_*.json records from this run's "
+        "measurements; without it the benchmarks assert their contracts and "
+        "leave the records untouched",
+    )
 
 
 @pytest.fixture
 def update_golden(request: pytest.FixtureRequest) -> bool:
     return bool(request.config.getoption("--update-golden"))
+
+
+@pytest.fixture
+def update_bench(request: pytest.FixtureRequest) -> bool:
+    return bool(request.config.getoption("--update-bench"))

@@ -297,10 +297,11 @@ def campaign_report(store: Union[str, Path, ResultStore]) -> str:
         + "."
     )
     if spec is not None:
-        missing = sum(1 for point in spec.points() if point.key() not in store)
+        points = spec.points()
+        missing = sum(1 for point in points if point.key() not in store)
         if missing:
             lines.append(
-                f"**Incomplete:** {missing} of {len(spec.points())} campaign "
+                f"**Incomplete:** {missing} of {len(points)} campaign "
                 "point(s) missing from the store - re-run to fill the delta."
             )
     lines.append("")

@@ -120,31 +120,31 @@ class CampaignRunSummary:
 
 def _compute_into(
     store: ResultStore,
-    points: Sequence[CampaignPoint],
+    pending: Sequence[tuple[str, CampaignPoint]],
     *,
     workers: Optional[int],
     executor: str,
     batch_size: int,
 ) -> None:
-    """Evaluate ``points`` and persist them into ``store``, chunk by chunk.
+    """Evaluate ``(key, point)`` pairs and persist them into ``store``, chunk by chunk.
 
-    Shared by the in-process path and every shard worker.  All requests are
-    built up front so an invalid point (unknown app or platform name,
+    Shared by the in-process path and every shard worker; the keys come
+    from the caller, which hashed each point once.  All requests are built
+    up front so an invalid point (unknown app or platform name,
     unrealisable Sweep3D Htile, ...) fails the run before any backend
     computation starts; value objects are memoised per configuration, so
     this stays cheap even at large point counts.
     """
-    keys = [point.key() for point in points]
-    requests = [point.request() for point in points]
+    requests = [point.request() for _key, point in pending]
 
     # One predict_many call per backend group keeps each engine's batch
     # deduplication and cache locality intact.
     groups: dict[tuple, list[int]] = {}
-    for index, point in enumerate(points):
+    for index, (_key, point) in enumerate(pending):
         groups.setdefault(point.backend_group(), []).append(index)
 
     for indices in groups.values():
-        backend = points[indices[0]].backend_spec()
+        backend = pending[indices[0]][1].backend_spec()
         for start in range(0, len(indices), batch_size):
             chunk = indices[start : start + batch_size]
             results = predict_many(
@@ -154,28 +154,32 @@ def _compute_into(
                 executor=executor,
             )
             store.put_many(
-                (keys[index], result_record(points[index], result))
+                (pending[index][0], result_record(pending[index][1], result))
                 for index, result in zip(chunk, results)
             )
 
 
 def _shard_worker(
     scratch_path: str,
-    point_dicts: list[dict[str, Any]],
+    keyed_points: list[tuple[str, dict[str, Any]]],
     workers: Optional[int],
     executor: str,
     batch_size: int,
 ) -> None:
     """Entry point of one ``--shards`` worker process.
 
-    Evaluates its stable partition of the pending points into a private
-    scratch store.  Records already present in the scratch (left by a
-    previous, killed run of the same shard) are skipped by the store's own
-    idempotence, so a re-spawned worker computes only its own delta.
+    Evaluates its stable partition of the pending points - ``(key, point
+    dict)`` pairs, keyed by the parent - into a private scratch store.
+    Records already present in the scratch (left by a previous, killed run
+    of the same shard) are skipped by the store's own idempotence, so a
+    re-spawned worker computes only its own delta.
     """
     scratch = ResultStore(scratch_path)
-    points = [CampaignPoint.from_dict(data) for data in point_dicts]
-    pending = [point for point in points if point.key() not in scratch]
+    pending = [
+        (key, CampaignPoint.from_dict(data))
+        for key, data in keyed_points
+        if key not in scratch
+    ]
     _compute_into(
         scratch, pending, workers=workers, executor=executor, batch_size=batch_size
     )
@@ -216,7 +220,18 @@ class CampaignRunner:
 
     def pending(self) -> list[CampaignPoint]:
         """The points of the campaign not yet present in the store."""
-        return [point for point in self.spec.points() if point.key() not in self.store]
+        return [point for _key, point in self._pending(self.spec.points())]
+
+    def _pending(
+        self, points: Sequence[CampaignPoint]
+    ) -> list[tuple[str, CampaignPoint]]:
+        """``(key, point)`` for each of ``points`` missing from the store.
+
+        The one place a run hashes its points: the keys ride along to the
+        store writes, so every point is hashed exactly once per run.
+        """
+        keyed = ((point.key(), point) for point in points)
+        return [(key, point) for key, point in keyed if key not in self.store]
 
     def run(self, *, resume: bool = False) -> CampaignRunSummary:
         """Compute the missing points, persisting each batch as it lands.
@@ -230,7 +245,7 @@ class CampaignRunner:
         self.store.set_spec(self.spec.to_dict())
         salvaged = self._reconcile_scratch(resume)
         points = self.spec.points()
-        pending = [point for point in points if point.key() not in self.store]
+        pending = self._pending(points)
 
         if pending and self.shards > 1:
             self._run_sharded(pending)
@@ -270,12 +285,14 @@ class CampaignRunner:
     def _scratch_path(self, shard: int) -> Path:
         return self.store.scratch_root() / f"shard-{shard}.store"
 
-    def _run_sharded(self, pending: Sequence[CampaignPoint]) -> None:
+    def _run_sharded(self, pending: Sequence[tuple[str, CampaignPoint]]) -> None:
         # Validate every request in the parent before any worker spawns, so
         # a bad point fails the run with zero scratch left behind.
-        for point in pending:
+        for _key, point in pending:
             point.request()
-        partitions = partition_points(pending, self.shards)
+        partitions = partition_points(
+            [(key, point.to_dict()) for key, point in pending], self.shards
+        )
         context = multiprocessing.get_context()
         processes: list[tuple[int, Any]] = []
         for shard, partition in enumerate(partitions):
@@ -285,7 +302,7 @@ class CampaignRunner:
                 target=_shard_worker,
                 args=(
                     str(self._scratch_path(shard)),
-                    [point.to_dict() for point in partition],
+                    partition,
                     self.workers,
                     self.executor,
                     self.batch_size,

@@ -31,7 +31,7 @@ import json
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Mapping, Optional, Sequence, Tuple, TypeVar, Union
 
 from repro.apps.base import WavefrontSpec
 from repro.apps.sweep3d import Sweep3DConfig
@@ -56,6 +56,8 @@ __all__ = [
     "partition_points",
     "shard_of",
 ]
+
+_Item = TypeVar("_Item")
 
 
 def apply_htile(spec: WavefrontSpec, htile: float) -> WavefrontSpec:
@@ -106,17 +108,23 @@ def shard_of(key: str, shards: int) -> int:
 
 
 def partition_points(
-    points: Sequence["CampaignPoint"], shards: int
-) -> list[list["CampaignPoint"]]:
-    """Split ``points`` into ``shards`` stable partitions by content hash.
+    keyed: Sequence[tuple[str, _Item]], shards: int
+) -> list[list[tuple[str, _Item]]]:
+    """Split ``(key, point)`` pairs into ``shards`` stable partitions.
 
-    Every point lands in partition :func:`shard_of` of its key; partitions
-    preserve the input order.  Empty partitions are kept so the caller can
-    zip the result against worker slots.
+    The key is the point's content hash (:meth:`CampaignPoint.key`), which
+    the caller has already computed; every pair lands in partition
+    :func:`shard_of` of its key, and partitions preserve the input order.
+    The point side is carried along untouched, so it may equally be the
+    point's :meth:`~CampaignPoint.to_dict` form.  Empty partitions are kept
+    so the caller can zip the result against worker slots.
+
+    >>> partition_points([("a0", "x"), ("a1", "y"), ("a2", "z")], 2)
+    [[('a0', 'x'), ('a2', 'z')], [('a1', 'y')]]
     """
-    partitions: list[list[CampaignPoint]] = [[] for _ in range(shards)]
-    for point in points:
-        partitions[shard_of(point.key(), shards)].append(point)
+    partitions: list[list[tuple[str, _Item]]] = [[] for _ in range(shards)]
+    for key, point in keyed:
+        partitions[shard_of(key, shards)].append((key, point))
     return partitions
 
 
@@ -444,6 +452,9 @@ class CampaignSpec:
         simulator points whose fault model actually fails (finite MTBF).
         The analytic model and deterministic scenarios are seed-independent,
         so their seeds are normalised away rather than duplicating work.
+        Deduplication compares the points themselves: equal points have
+        equal :meth:`~CampaignPoint.to_dict` and so equal keys, and no
+        point is hashed here.
         """
         stochastic_noise = {
             noise: (parsed := parse_noise_model(noise)) is not None
@@ -454,7 +465,7 @@ class CampaignSpec:
             fault: (parsed := parse_fault_model(fault)) is not None and parsed.fails
             for fault in self.fault_models
         }
-        seen: set[str] = set()
+        seen: set[CampaignPoint] = set()
         expanded: list[CampaignPoint] = []
         for (
             app, platform, cores, htile, backend, seed,
@@ -490,9 +501,8 @@ class CampaignSpec:
                 fault_model=fault,
                 fault_seed=fault_seed if faulting else None,
             )
-            key = point.key()
-            if key not in seen:
-                seen.add(key)
+            if point not in seen:
+                seen.add(point)
                 expanded.append(point)
         return expanded
 

@@ -333,24 +333,15 @@ def _startp_homogeneous(
     return tdiag, tdiag + (n - 1) * (w + comm_e + recv_n)
 
 
-def _startp_periodic(
-    n: int,
-    m: int,
-    w: float,
-    wpre: float,
-    table: list[list[tuple[float, float, float, float]]],
-    cx: int,
-    cy: int,
-) -> tuple[float, float] | None:
-    """Period-folded ``StartP`` for multi-core (periodic-cost) grids.
+def _fold_geometry(n: int, m: int, cx: int, cy: int) -> tuple[int, int, int, int] | None:
+    """``(n0, m0, kx, ky)``: the folded grid and the periods folded away.
 
-    Folds each axis down to ``_FOLD_BASE_PERIODS`` cost periods (preserving
-    the residue of the grid dimension, so the folded grid sees exactly the
-    same cost classes), measures the per-period growth of ``StartP(n, m)``
-    in each direction, verifies the growth is linear (vanishing second
-    differences and cross term), and extrapolates.  Returns ``None`` when
-    the grid is too small to fold, the folded walks would cost more than the
-    exact one, or the linearity verification fails.
+    Folds each axis down to ``_FOLD_BASE_PERIODS`` cost periods, preserving
+    the residue of the grid dimension so the folded grid sees exactly the
+    same cost classes: ``n = n0 + kx * cx`` and ``m = m0 + ky * cy``.
+    Returns ``None`` when the grid is too small to fold or the folded walks
+    would cost more than the exact one.  A folded axis keeps at least
+    ``_FOLD_BASE_PERIODS`` periods, so ``kx > 0`` implies ``n0 > 1``.
     """
     base = _FOLD_BASE_PERIODS
     n0 = n if n <= (base + 2) * cx else base * cx + (n - base * cx) % cx
@@ -362,6 +353,30 @@ def _startp_periodic(
     evaluations = 1 + (2 if kx else 0) + (2 if ky else 0) + (1 if kx and ky else 0)
     if evaluations * (n0 + 2 * cx) * (m0 + 2 * cy) >= n * m:
         return None
+    return n0, m0, kx, ky
+
+
+def _startp_periodic(
+    n: int,
+    m: int,
+    w: float,
+    wpre: float,
+    table: list[list[tuple[float, float, float, float]]],
+    cx: int,
+    cy: int,
+) -> tuple[float, float] | None:
+    """Period-folded ``StartP`` for multi-core (periodic-cost) grids.
+
+    Evaluates the folded grid of :func:`_fold_geometry`, measures the
+    per-period growth of ``StartP(n, m)`` in each direction, verifies the
+    growth is linear (vanishing second differences and cross term), and
+    extrapolates.  Returns ``None`` when the grid does not fold or the
+    linearity verification fails.
+    """
+    fold = _fold_geometry(n, m, cx, cy)
+    if fold is None:
+        return None
+    n0, m0, kx, ky = fold
 
     def corner(a: int, b: int) -> float:
         return _startp_exact(n0 + a * cx, m0 + b * cy, w, wpre, table, cx, cy)[1]
@@ -386,14 +401,13 @@ def _startp_periodic(
     return _startp_diag(n, m, w, wpre, table, cx, cy), tfull
 
 
-def _fill_heterogeneity_extras(
+def _heterogeneity_sums(
     platform: Platform,
     grid: ProcessorGrid,
     mapping: CoreMapping,
-    w: float,
-    wpre: float,
-) -> tuple[float, float]:
-    """Bounded-heterogeneity corrections ``(extra_diag, extra_full)``.
+) -> tuple[float, float, float, float]:
+    """Multiplier sums ``(col0, col_rest, diag0, diag_rest)`` of the
+    bounded-heterogeneity fill corrections.
 
     With per-node speed multipliers the wavefront's progress across each
     diagonal is governed by that diagonal's *slowest* rank: every monotone
@@ -403,20 +417,22 @@ def _fill_heterogeneity_extras(
     ``W * (max_mult(d) - 1)`` per diagonal to the full-fill time - and, for
     the diagonal-fill time, the multipliers actually on the column-1 path -
     on top of the homogeneous evaluation (which already charged ``W`` per
-    step).  A trivial profile contributes exactly 0.0, preserving the
-    homogeneous results bit for bit.
+    step):  ``extra_diag = Wpre * col0 + W * col_rest`` and
+    ``extra_full = Wpre * diag0 + W * diag_rest``.  The sums depend on the
+    grid only, so batch callers compute them once per grid.  A trivial
+    profile yields exactly 0.0 sums, preserving the homogeneous results bit
+    for bit.
     """
     profile = platform.speed_profile
     assert profile is not None
     diag_mults = diagonal_multipliers(profile, grid, mapping)
     col_mults = column_multipliers(profile, grid, mapping)
-    extra_diag = wpre * (col_mults[0] - 1.0) + w * sum(
-        mult - 1.0 for mult in col_mults[1:]
+    return (
+        col_mults[0] - 1.0,
+        sum(mult - 1.0 for mult in col_mults[1:]),
+        diag_mults[0] - 1.0,
+        sum(mult - 1.0 for mult in diag_mults[1:]),
     )
-    extra_full = wpre * (diag_mults[0] - 1.0) + w * sum(
-        mult - 1.0 for mult in diag_mults[1:]
-    )
-    return extra_diag, extra_full
 
 
 def _require_analytic_supported(platform: Platform) -> None:
@@ -510,9 +526,9 @@ def fill_times(
         # Bounded-heterogeneity correction: the slowest rank on each
         # wavefront diagonal governs the recurrence (pure extra work, so it
         # raises the fill times and their work portions by the same amount).
-        extra_diag, extra_full = _fill_heterogeneity_extras(
-            platform, grid, mapping, w, wpre
-        )
+        col0, col_rest, diag0, diag_rest = _heterogeneity_sums(platform, grid, mapping)
+        extra_diag = wpre * col0 + w * col_rest
+        extra_full = wpre * diag0 + w * diag_rest
         tdiag += extra_diag
         tfull += extra_full
         tdiag_work += extra_diag

@@ -28,21 +28,27 @@ so homogeneous-platform results are bit-identical):
 
 * the closed-form ``StartP`` path for position-independent costs;
 * the period-folded ``StartP`` path for multi-core periodic costs,
-  including the per-point linearity verification (sub-grouped by grid
-  shape so the fold geometry stays scalar);
+  including the per-point linearity verification.  Points are grouped by
+  fold geometry - the folded grid and which axes fold - so every grid
+  shape that folds onto the same small grid shares one walk; each point
+  then applies its own period counts.  Grids the fold refuses get one
+  exact walk per shape;
 * the Table 1 communication-cost kernels at all three hop levels, the
   stack costs with Table 6 bus contention, and the all-reduce
   non-wavefront term (equation (9));
 * noise mean-inflation and checkpoint-dump inflation of ``W``/``Wpre``
   (scalar factors per group), plus the per-point bounded expected-rework
-  correction of fault-model platforms (see :mod:`repro.core.faults`).
+  correction of fault-model platforms (see :mod:`repro.core.faults`);
+* the bounded per-diagonal heterogeneity correction of non-trivial
+  :class:`~repro.core.hetero.SpeedProfile` platforms: its multiplier sums
+  depend on the grid only, so they are computed once per distinct grid
+  (by the scalar model's own helper) and applied to each point's
+  ``W``/``Wpre``.
 
 Per-point scalar fallbacks (delegating to the scalar model, so results
 match by construction):
 
 * grid points whose fold linearity check fails (rare; the exact walk);
-* the bounded per-diagonal heterogeneity correction of non-trivial
-  :class:`~repro.core.hetero.SpeedProfile` platforms;
 * :class:`~repro.apps.base.StencilNonWavefront` and custom
   ``NonWavefrontModel`` implementations;
 * configurations with unhashable (subclassed) platforms or mappings.
@@ -75,12 +81,12 @@ from repro.core.hetero import max_multiplier
 from repro.core.loggp import OffNodeParams, OnChipParams, Platform
 from repro.core.faults import expected_rework_us, rework_guard
 from repro.core.model import (
-    _FOLD_BASE_PERIODS,
     _FOLD_REL_TOL,
     _count_residue,
     _fault_inflation,
     _fill_cost_table,
-    _fill_heterogeneity_extras,
+    _fold_geometry,
+    _heterogeneity_sums,
     _require_analytic_supported,
     _startp_exact,
     iteration_prediction,
@@ -393,45 +399,19 @@ def _v_startp_homogeneous(n_list, m_list, w, wpre, entry):
     return tdiag, tfull
 
 
-def _v_startp_exact(n: int, m: int, w, wpre, table, cx: int, cy: int):
-    """The full-grid recurrence with vector-valued per-tile costs.
-
-    ``n``/``m`` are scalars (the batch is sub-grouped by grid shape); every
-    grid step performs one elementwise operation over the batch.
-    """
-    rows = [[table[i % cx][jm] for i in range(1, n + 1)] for jm in range(cy)]
-
-    prev: list = [None] * n
-    prev[0] = wpre
-    row1 = rows[1 % cy]
-    for i in range(2, n + 1):
-        prev[i - 1] = prev[i - 2] + w + row1[i - 1][0]
-
-    for j in range(2, m + 1):
-        row = rows[j % cy]
-        cur: list = [None] * n
-        send_e_first = row[0][2] if n > 1 else 0.0
-        cur[0] = prev[0] + w + send_e_first + row[0][3]
-        for i in range(2, n + 1):
-            comm_e, recv_n, send_e, comm_s = row[i - 1]
-            west = cur[i - 2] + w + comm_e + recv_n
-            north = prev[i - 1] + w + send_e + comm_s
-            cur[i - 1] = _maximum(west, north)
-        prev = cur
-
-    return prev[0], prev[n - 1]
-
-
 def _v_startp_cells(
     big_n: int, big_m: int, w, wpre, table, cx: int, cy: int, cells
 ):
-    """One (big_n, big_m) walk harvesting ``StartP(i, j)`` at ``cells``.
+    """One ``big_n x big_m`` recurrence walk harvesting ``StartP(i, j)`` at ``cells``.
 
-    The recurrence value at ``(i, j)`` depends only on the rectangle below
-    and left of it, so the corner values of every smaller ``(i, j)`` grid
-    can be read off one big walk - provided every requested ``i`` agrees
-    with ``big_n`` on the ``n > 1`` first-column guard (callers check).
-    This cuts the period-folded path's six corner walks down to one.
+    ``big_n``/``big_m`` are scalars shared by the batch; every grid step
+    performs one elementwise operation over it.  With ``cells`` holding
+    ``(1, big_m)`` and ``(big_n, big_m)`` this is the exact walk.  The
+    recurrence value at ``(i, j)`` depends only on the rectangle below and
+    left of it, so it is also the corner value of the smaller ``i x j``
+    grid whenever ``i`` agrees with ``big_n`` on the ``n > 1`` first-column
+    guard - which is how the period-folded path reads all six fold corners
+    off one walk.
     """
     wanted_rows: Dict[int, List[int]] = {}
     for i, j in cells:
@@ -463,82 +443,72 @@ def _v_startp_cells(
     return out
 
 
-def _v_startp_diag(n: int, m: int, w, wpre, table, cx: int, cy: int):
-    """``StartP(1, m)`` in closed form (model._startp_diag), vectorized."""
-    send_e = table[1 % cx][0][2] if n > 1 else 0.0
+def _v_startp_diag(n0: int, counts, w, wpre, table, cx: int, cy: int):
+    """``StartP(1, m)`` in closed form (model._startp_diag), vectorized.
+
+    ``counts[jm]`` holds each point's number of rows ``2..m`` in residue
+    class ``jm``.  Within a fold group every point agrees on ``n > 1``
+    (it is ``n0 > 1``) and on which classes are empty: without a row fold
+    the points share ``m``, and with one every class is crossed.
+    """
+    send_e = table[1 % cx][0][2] if n0 > 1 else 0.0
     total = wpre
     for jm in range(cy):
-        count = _count_residue(2, m, cy, jm)
-        if count:
-            total = total + count * (w + send_e + table[1 % cx][jm][3])
+        if counts[jm][0]:
+            total = total + _vector(counts[jm]) * (w + send_e + table[1 % cx][jm][3])
     return total
 
 
-def _v_startp_periodic(n: int, m: int, w, wpre, table, cx: int, cy: int):
-    """Period-folded ``StartP`` over a batch; per-point linearity verification.
+def _v_startp_folded(
+    n0: int, m0: int, kx, ky, counts, w, wpre, table, cx: int, cy: int
+):
+    """Period-folded ``StartP`` over a fold group; per-point linearity checks.
 
+    The group's points share the folded grid ``(n0, m0)`` and which axes
+    fold; ``kx``/``ky`` hold each point's folded periods (zero on an axis
+    that does not fold) and ``counts`` its ``StartP(1, m)`` row counts (see
+    :func:`_v_startp_diag`).  One walk over the largest corner grid
+    harvests all six fold corners for every point, whatever its own grid.
     Returns ``(tdiag, tfull, ok)`` where ``ok`` flags the points whose
-    linearity checks passed (the rest need the scalar exact walk), or
-    ``None`` when the fold does not apply to the whole sub-group (too small
-    to fold, or folding costs more than the exact walk) - exactly the
-    decisions of :func:`repro.core.model._startp_periodic`.
+    linearity checks passed (the rest need the scalar exact walk) - the
+    checks and the extrapolation of
+    :func:`repro.core.model._startp_periodic`.
     """
-    base = _FOLD_BASE_PERIODS
-    n0 = n if n <= (base + 2) * cx else base * cx + (n - base * cx) % cx
-    m0 = m if m <= (base + 2) * cy else base * cy + (m - base * cy) % cy
-    kx = (n - n0) // cx
-    ky = (m - m0) // cy
-    if kx == 0 and ky == 0:
-        return None
-    evaluations = 1 + (2 if kx else 0) + (2 if ky else 0) + (1 if kx and ky else 0)
-    if evaluations * (n0 + 2 * cx) * (m0 + 2 * cy) >= n * m:
-        return None
+    fold_x, fold_y = bool(max(kx)), bool(max(ky))
+    cells = [(n0, m0)]
+    if fold_x:
+        cells += [(n0 + cx, m0), (n0 + 2 * cx, m0)]
+    if fold_y:
+        cells += [(n0, m0 + cy), (n0, m0 + 2 * cy)]
+    if fold_x and fold_y:
+        cells.append((n0 + cx, m0 + cy))
+    big_n = n0 + 2 * cx if fold_x else n0
+    big_m = m0 + 2 * cy if fold_y else m0
+    harvested = _v_startp_cells(big_n, big_m, w, wpre, table, cx, cy, cells)
 
-    if kx == 0 or n0 > 1:
-        # Every corner value is a cell of one big walk (identical op order),
-        # so harvest all of them from a single pass over the largest grid.
-        cells = [(n0, m0)]
-        if kx:
-            cells += [(n0 + cx, m0), (n0 + 2 * cx, m0)]
-        if ky:
-            cells += [(n0, m0 + cy), (n0, m0 + 2 * cy)]
-        if kx and ky:
-            cells.append((n0 + cx, m0 + cy))
-        big_n = n0 + 2 * cx if kx else n0
-        big_m = m0 + 2 * cy if ky else m0
-        harvested = _v_startp_cells(big_n, big_m, w, wpre, table, cx, cy, cells)
-
-        def corner(a: int, b: int):
-            return harvested[(n0 + a * cx, m0 + b * cy)]
-
-    else:
-        # n0 == 1 with kx > 0: corners disagree on the first-column
-        # ``n > 1`` guard, so each needs its own exact walk (rare and tiny).
-        def corner(a: int, b: int):
-            return _v_startp_exact(
-                n0 + a * cx, m0 + b * cy, w, wpre, table, cx, cy
-            )[1]
+    def corner(a: int, b: int):
+        return harvested[(n0 + a * cx, m0 + b * cy)]
 
     f00 = corner(0, 0)
     tolerance = _FOLD_REL_TOL * _maximum(_absolute(f00), 1.0)
-    ok = [True] * len(_tolist(f00))
+    ok = [True] * len(kx)
     dx = dy = 0.0
-    if kx:
+    if fold_x:
         f10 = corner(1, 0)
         dx = f10 - f00
         bad = _masklist(_absolute((corner(2, 0) - f10) - dx) > tolerance)
         ok = [flag and not b for flag, b in zip(ok, bad)]
-    if ky:
+    if fold_y:
         f01 = corner(0, 1)
         dy = f01 - f00
         bad = _masklist(_absolute((corner(0, 2) - f01) - dy) > tolerance)
         ok = [flag and not b for flag, b in zip(ok, bad)]
-    if kx and ky:
+    if fold_x and fold_y:
         bad = _masklist(_absolute(corner(1, 1) - (f00 + dx + dy)) > tolerance)
         ok = [flag and not b for flag, b in zip(ok, bad)]
 
-    tfull = f00 + kx * dx + ky * dy
-    return _v_startp_diag(n, m, w, wpre, table, cx, cy), tfull, ok
+    tfull = f00 + _vector(kx) * dx + _vector(ky) * dy
+    return _v_startp_diag(n0, counts, w, wpre, table, cx, cy), tfull, ok
 
 
 # ---------------------------------------------------------------------------
@@ -678,10 +648,15 @@ def _evaluate_group(
         for wpre, n, m, w in zip(wpre_list, n_list, m_list, w_list)
     ]
     if heterogeneous:
+        # The multiplier sums depend on the grid only: once per distinct grid.
+        sums: Dict[ProcessorGrid, Tuple[float, float, float, float]] = {}
         for i, grid in enumerate(grids):
-            extra_diag, extra_full = _fill_heterogeneity_extras(
-                platform, grid, mapping, w_list[i], wpre_list[i]
-            )
+            grid_sums = sums.get(grid)
+            if grid_sums is None:
+                grid_sums = sums[grid] = _heterogeneity_sums(platform, grid, mapping)
+            col0, col_rest, diag0, diag_rest = grid_sums
+            extra_diag = wpre_list[i] * col0 + w_list[i] * col_rest
+            extra_full = wpre_list[i] * diag0 + w_list[i] * diag_rest
             tdiag_list[i] += extra_diag
             tfull_list[i] += extra_full
             tdiag_work_list[i] += extra_diag
@@ -774,7 +749,14 @@ def _fill_corners(
     configs: Sequence[_Config],
     w_list, wpre_list, ew_list, ns_list, n_list, m_list,
 ) -> Tuple[List[float], List[float]]:
-    """``(StartP(1, m), StartP(n, m))`` lists for one group (fast method)."""
+    """``(StartP(1, m), StartP(n, m))`` lists for one group (fast method).
+
+    Multi-core points are grouped by the walk they need.  Grids that fold
+    (:func:`repro.core.model._fold_geometry`) group by fold geometry
+    ``(n0, m0, kx > 0, ky > 0)`` and share one walk of the folded grid;
+    grids the fold refuses keep one exact walk per shape.  Each distinct
+    shape's fold, periods and residue counts are computed once.
+    """
     if not multicore:
         w, wpre = _vector(w_list), _vector(wpre_list)
         table, _cx, _cy = _v_fill_table(
@@ -785,27 +767,46 @@ def _fill_corners(
         )
         return _tolist(tdiag), _tolist(tfull)
 
+    cx, cy = mapping.cx, mapping.cy
+    # Per distinct shape: the walk it needs and, when it folds, its periods
+    # and StartP(1, m) row counts per residue class.
+    shapes: Dict[Tuple[int, int], tuple] = {}
+    walks: Dict[Tuple[int, int, bool, bool], List[int]] = {}
+    for i, shape in enumerate(zip(n_list, m_list)):
+        plan = shapes.get(shape)
+        if plan is None:
+            n, m = shape
+            fold = _fold_geometry(n, m, cx, cy)
+            if fold is None:
+                plan = ((n, m, False, False), 0.0, 0.0, ())
+            else:
+                n0, m0, kx, ky = fold
+                counts = tuple(float(_count_residue(2, m, cy, jm)) for jm in range(cy))
+                plan = ((n0, m0, kx > 0, ky > 0), float(kx), float(ky), counts)
+            shapes[shape] = plan
+        walks.setdefault(plan[0], []).append(i)
+
     tdiag_list = [0.0] * len(configs)
     tfull_list = [0.0] * len(configs)
-    shapes: Dict[Tuple[int, int], List[int]] = {}
-    for i, (n, m) in enumerate(zip(n_list, m_list)):
-        shapes.setdefault((n, m), []).append(i)
-    for (n, m), indices in shapes.items():
+    for (n0, m0, fold_x, fold_y), indices in walks.items():
         w = _vector([w_list[i] for i in indices])
         wpre = _vector([wpre_list[i] for i in indices])
-        table, cx, cy = _v_fill_table(
+        table, _cx, _cy = _v_fill_table(
             platform,
             mapping,
             True,
             _vector([ew_list[i] for i in indices]),
             _vector([ns_list[i] for i in indices]),
         )
-        folded = _v_startp_periodic(n, m, w, wpre, table, cx, cy)
-        if folded is None:
-            tdiag, tfull = _v_startp_exact(n, m, w, wpre, table, cx, cy)
-            ok = [True] * len(indices)
+        if fold_x or fold_y:
+            _walk, kx, ky, counts = zip(*(shapes[n_list[i], m_list[i]] for i in indices))
+            tdiag, tfull, ok = _v_startp_folded(
+                n0, m0, kx, ky, list(zip(*counts)), w, wpre, table, cx, cy
+            )
         else:
-            tdiag, tfull, ok = folded
+            cells = _v_startp_cells(n0, m0, w, wpre, table, cx, cy, [(1, m0), (n0, m0)])
+            tdiag, tfull = cells[1, m0], cells[n0, m0]
+            ok = [True] * len(indices)
         tdiag_values, tfull_values = _tolist(tdiag), _tolist(tfull)
         for local, index in enumerate(indices):
             if ok[local]:
@@ -817,7 +818,7 @@ def _fill_corners(
                 spec, _platform, grid, _mapping = configs[index]
                 scalar_table, _ = _fill_cost_table(spec, platform, grid, mapping)
                 tdiag_list[index], tfull_list[index] = _startp_exact(
-                    n, m, w_list[index], wpre_list[index], scalar_table, cx, cy
+                    grid.n, grid.m, w_list[index], wpre_list[index], scalar_table, cx, cy
                 )
     return tdiag_list, tfull_list
 

@@ -11,7 +11,8 @@ cite.  This tier-1 guard parses every committed record, validates its
 schema and re-asserts the recorded contracts - a stale or broken record
 fails CI instead of quietly shipping.
 
-(The benchmarks themselves re-measure and overwrite the records; this
+(The benchmarks themselves re-measure and assert their contracts on every
+run, and overwrite the records only under ``pytest --update-bench``; this
 guard only checks what is committed.)
 """
 

@@ -615,6 +615,132 @@ class TestCampaignRunner:
             CampaignRunner(small_spec, tmp_path / "x.store", batch_size=0)
 
 
+# -- one content hash per point --------------------------------------------------------
+
+
+@pytest.fixture
+def key_calls(monkeypatch):
+    """Counts every :meth:`CampaignPoint.key` call made in this process."""
+    calls = []
+    key = CampaignPoint.key
+
+    def counted(point):
+        calls.append(point)
+        return key(point)
+
+    monkeypatch.setattr(CampaignPoint, "key", counted)
+    return calls
+
+
+def _key_deduplicated(spec: CampaignSpec, monkeypatch) -> tuple[list, list]:
+    """The raw expansion of ``spec`` and its dedup by content-hash key.
+
+    With identity equality no two expanded points compare equal, so
+    ``points()`` returns the raw expansion; keeping the first point of each
+    key is how ``points()`` used to deduplicate.
+    """
+    with monkeypatch.context() as patch:
+        patch.setattr(CampaignPoint, "__eq__", object.__eq__)
+        patch.setattr(CampaignPoint, "__hash__", object.__hash__)
+        raw = spec.points()
+    seen: set[str] = set()
+    deduplicated = []
+    for point in raw:
+        key = point.key()
+        if key not in seen:
+            seen.add(key)
+            deduplicated.append(point)
+    return raw, deduplicated
+
+
+_SEEDED_SPECS = [
+    CampaignSpec(
+        name="legacy-noise-seeds",
+        apps=("lu-classA",),
+        total_cores=(4, 16),
+        backends=("analytic-fast", "simulator"),
+        noise_seeds=(0, 1, 2),
+        compute_noise=0.05,
+    ),
+    CampaignSpec(
+        name="noise-model-seeds",
+        apps=("lu-classA",),
+        total_cores=(4,),
+        backends=("analytic-fast", "simulator"),
+        noise_models=("none", "quantum:50/1000", "sampled:0.05"),
+        noise_seeds=(0, 1),
+    ),
+    CampaignSpec(
+        name="fault-seeds",
+        apps=("lu-classA",),
+        total_cores=(16,),
+        backends=("analytic-fast", "simulator"),
+        fault_models=("none", "mtbf:1e8/repair:1e6/restart:1e5/interval:1e6/dump:5e3"),
+        fault_seeds=(0, 1, 2),
+        noise_seeds=(None, 3),
+    ),
+]
+
+
+class TestOneKeyPerPoint:
+    @pytest.mark.parametrize(
+        "spec",
+        list(builtin_campaigns().values()) + _SEEDED_SPECS,
+        ids=lambda spec: spec.name,
+    )
+    def test_points_match_key_based_dedup(self, spec, monkeypatch):
+        raw, deduplicated = _key_deduplicated(spec, monkeypatch)
+        assert spec.points() == deduplicated
+        if spec in _SEEDED_SPECS:
+            assert len(raw) > len(deduplicated)  # normalisation made duplicates
+
+    def test_points_hash_nothing(self, key_calls):
+        get_campaign("fault-tolerance-study").points()
+        assert key_calls == []
+
+    def test_fresh_run_hashes_each_point_once(self, tmp_path, key_calls):
+        spec = _SEEDED_SPECS[0]
+        summary = run_campaign(spec, store=tmp_path / "fresh.store")
+        assert summary.computed == summary.total_points
+        assert len(key_calls) == summary.total_points
+        assert len(set(map(id, key_calls))) == summary.total_points
+
+        key_calls.clear()
+        rerun = run_campaign(spec, store=tmp_path / "fresh.store")
+        assert rerun.computed == 0
+        assert len(key_calls) == rerun.total_points
+
+    def test_sharded_run_hashes_each_point_once(
+        self, tmp_path, counting_backend, small_spec, key_calls
+    ):
+        summary = run_campaign(small_spec, store=tmp_path / "sharded.store", shards=2)
+        assert summary.computed == 6
+        assert len(key_calls) == 6  # the parent; workers receive the keys
+
+    def test_shard_worker_uses_the_keys_it_is_given(self, tmp_path, key_calls):
+        from repro.campaigns.runner import _shard_worker
+
+        points = CampaignSpec(
+            name="worker", apps=("lu-classA",), total_cores=(4, 16)
+        ).points()
+        keyed = [(f"{index:016x}", point.to_dict()) for index, point in enumerate(points)]
+        scratch = tmp_path / "scratch.store"
+        _shard_worker(str(scratch), keyed, None, "thread", 1024)
+        assert key_calls == []
+        assert sorted(ResultStore(scratch).keys()) == [key for key, _ in keyed]
+
+    def test_incomplete_report_hashes_each_point_once(
+        self, tmp_path, counting_backend, small_spec, key_calls
+    ):
+        store_path = tmp_path / "cut.store"
+        store = ResultStore(store_path)
+        store.set_spec(small_spec.to_dict())
+        store.close()
+        key_calls.clear()
+        assert "**Incomplete:** 6 of 6" in campaign_report(store_path)
+        assert len(key_calls) == 6
+
+
 # -- sharded fan-out -------------------------------------------------------------------
 
 
@@ -630,19 +756,21 @@ class TestShardPartitioning:
     def test_partition_points_is_stable_and_complete(self):
         spec = get_campaign("paper-validation")
         points = spec.points()
-        partitions = partition_points(points, 4)
+        partitions = partition_points([(p.key(), p) for p in points], 4)
         assert len(partitions) == 4
-        assert sorted(p.key() for part in partitions for p in part) == sorted(
+        assert sorted(key for part in partitions for key, _ in part) == sorted(
             p.key() for p in points
         )
         for shard, part in enumerate(partitions):
-            for point in part:
-                assert shard_of(point.key(), 4) == shard
+            for key, point in part:
+                assert key == point.key()
+                assert shard_of(key, 4) == shard
                 assert point.shard(4) == shard
         # Stable: a second expansion partitions identically.
-        assert [
-            [p.key() for p in part] for part in partition_points(spec.points(), 4)
-        ] == [[p.key() for p in part] for part in partitions]
+        again = partition_points([(p.key(), p) for p in spec.points()], 4)
+        assert [[key for key, _ in part] for part in again] == [
+            [key for key, _ in part] for part in partitions
+        ]
 
     def test_partition_points_keeps_empty_partitions(self):
         assert partition_points([], 3) == [[], [], []]
