@@ -19,7 +19,6 @@ import time
 from conftest import emit
 
 from repro.apps.workloads import sweep3d_production_1billion
-from repro.core.comm import clear_comm_cost_cache
 from repro.core.decomposition import decompose
 from repro.core.model import fill_times
 from repro.core.predictor import clear_prediction_cache, predict, prediction_cache_info
@@ -42,7 +41,6 @@ def _time_fill(spec, platform, grid, method: str, repeats: int = 3) -> tuple[flo
 def test_engine_fastpath_speedup_131072(benchmark, xt4, xt4_single):
     spec = sweep3d_production_1billion()
     grid = decompose(TOTAL_CORES)
-    clear_comm_cost_cache()
     clear_prediction_cache()
 
     table = Table(

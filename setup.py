@@ -4,17 +4,20 @@ numpy policy: the library is pure Python and installs without any
 third-party runtime dependency.  ``numpy`` is an *optional* accelerator,
 declared under the ``[fast]`` extra:
 
-* the calibration kernels (``repro.calibration``) use it for the
-  work-rate micro-benchmarks;
-* the ``analytic-vec`` backend (``repro.core.model_vec``) uses it for
-  struct-of-arrays batch evaluation, and degrades gracefully without it -
-  a pure-stdlib vector path produces identical numbers (one warning is
-  logged, see ``repro.core.model_vec.warn_on_fallback``), just without
-  the array-backend speed.
+* the work-rate kernels (``repro.calibration.workrate``, behind
+  ``wavebench workrate``) need it for their micro-benchmarks;
+* the ``analytic-vec`` backend (``repro.core.model_vec``) runs the model's
+  equations on numpy columns, and degrades gracefully without it - it
+  then prices each point through the scalar model, with identical
+  numbers (one warning is logged, see
+  ``repro.core.model_vec.warn_on_fallback``), just without the batch
+  speed.
 
-Nothing in the prediction stack imports numpy unconditionally, which is
-pinned by ``tests/test_conformance.py``'s stdlib-fallback conformance
-test.
+Nothing else imports numpy, and every ``wavebench`` subcommand but
+``workrate`` runs without it.  ``tests/test_model_vec.py`` pins this by
+running the CLI and a mixed batch in an interpreter where numpy cannot be
+imported, and the CI ``no-numpy`` job runs the model, conformance and CLI
+suites without numpy installed.
 """
 
 from setuptools import find_packages, setup
@@ -30,7 +33,7 @@ setup(
     python_requires=">=3.10",
     install_requires=[],  # pure stdlib at runtime - see the numpy policy above
     extras_require={
-        "fast": ["numpy"],  # vectorized batch backend + calibration kernels
+        "fast": ["numpy"],  # vectorized batch backend + work-rate kernels
         "test": ["pytest", "pytest-benchmark", "hypothesis"],
     },
     entry_points={"console_scripts": ["wavebench=repro.cli:main"]},

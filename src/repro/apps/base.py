@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from typing import Optional, Protocol, Sequence
 
 from repro.core.comm import ALLREDUCE_PAYLOAD_BYTES, allreduce_time, total_comm
@@ -112,12 +113,14 @@ class SweepSchedule:
         """Number of sweeps per iteration (Table 3)."""
         return len(self.phases)
 
-    @property
+    # Counted once per (immutable) schedule: specs that differ only in
+    # Htile share their schedule, and batches read these for every point.
+    @cached_property
     def nfull(self) -> int:
         """Number of sweeps that must fully complete before the next begins."""
         return sum(1 for phase in self.phases if phase.fill is FillClass.FULL)
 
-    @property
+    @cached_property
     def ndiag(self) -> int:
         """Number of sweeps that must complete at the main-diagonal corner."""
         return sum(1 for phase in self.phases if phase.fill is FillClass.DIAG)
@@ -322,10 +325,10 @@ class WavefrontSpec:
         if min(self.iterations, self.time_steps, self.energy_groups) < 1:
             raise ValueError("iterations, time_steps and energy_groups must be >= 1")
 
-    def __hash__(self) -> int:
-        # Specs key every prediction memo; the generated hash re-walks the
-        # nested problem/schedule/nonwavefront tree on each dict operation.
-        return cached_field_hash(self)
+    # Specs key every prediction memo; the generated hash re-walks the
+    # nested problem/schedule/nonwavefront tree on each dict operation.
+    # Bound directly, so hashing costs one Python call, not two.
+    __hash__ = cached_field_hash
 
     # -- Table 3 derived quantities -------------------------------------------------
 

@@ -4,12 +4,12 @@
 (``evaluate_batch``) on top of :func:`repro.core.model_vec
 .batch_point_values`: the service layer (:func:`repro.backends.service
 .predict_many`) hands it whole lists of resolved configurations, which it
-prices as struct-of-arrays operations - numpy when importable, a pure-stdlib
-vector fallback otherwise (a one-line warning notes the fallback, see the
-README's optional-numpy policy).  Results match ``analytic-fast`` within
-1e-9 relative (bit-identical on homogeneous platforms), so it is a drop-in
-replacement wherever throughput matters: exhaustive optimisation, Pareto
-fronts, campaigns.
+prices by running the fast model's equations on numpy columns - the same
+functions ``analytic-fast`` runs on floats, so results are bit-identical.
+Without numpy each point is priced through the scalar model instead (a
+one-line warning notes the slower path, see the README's optional-numpy
+policy).  It is a drop-in replacement wherever throughput matters:
+exhaustive optimisation, Pareto fronts, campaigns.
 
 Single-point ``evaluate`` calls also work (they are one-element batches), so
 the backend satisfies :class:`~repro.backends.base.PredictionBackend` and
@@ -95,31 +95,30 @@ class VectorizedAnalyticBackend:
         resolved = list(resolved)
         if resolved and not have_numpy():
             warn_on_fallback()
-        cached: Dict[int, PointValues] = {}
+        points: List[Optional[PointValues]] = [None] * len(resolved)
         pending: List[int] = []
         memo_get = _BATCH_MEMO.get
         for index, config in enumerate(resolved):
-            try:
-                point = memo_get(config)
-            except TypeError:  # unhashable spec/platform subclasses
-                point = None
-            if point is None:
+            # Hashing a configuration is a measurable cost at design-matrix
+            # scale; an empty memo (a cold batch) has nothing to serve.
+            if _BATCH_MEMO:
+                try:
+                    points[index] = memo_get(config)
+                except TypeError:  # unhashable spec/platform subclasses
+                    pass
+            if points[index] is None:
                 pending.append(index)
-            else:
-                cached[index] = point
         if pending:
             fresh = batch_point_values([resolved[i] for i in pending])
             for index, point in zip(pending, fresh):
-                cached[index] = point
-                if len(_BATCH_MEMO) < _BATCH_MEMO_LIMIT:
-                    try:
-                        _BATCH_MEMO[resolved[index]] = point
-                    except TypeError:
-                        pass
-        return [
-            _wrap(self.name, resolved[index], cached[index])
-            for index in range(len(resolved))
-        ]
+                points[index] = point
+            room = max(0, _BATCH_MEMO_LIMIT - len(_BATCH_MEMO))
+            try:
+                _BATCH_MEMO.update(zip([resolved[i] for i in pending[:room]], fresh))
+            except TypeError:  # an unhashable configuration ends the memoisation
+                pass
+        name = self.name
+        return [_wrap(name, config, point) for config, point in zip(resolved, points)]
 
 
 def _wrap(name: str, config: _Config, point: PointValues) -> BackendResult:
@@ -132,14 +131,16 @@ def _wrap(name: str, config: _Config, point: PointValues) -> BackendResult:
     )
     if point.rework != 0.0:  # repro: noqa[RPR004] fault-free points carry exactly 0.0 and keep the three-phase breakdown
         phases = phases + (("rework", point.rework),)
+    # Positional arguments (the field order of BackendResult): keyword
+    # passing measurably slows the per-point wrap of large batches.
     return BackendResult(
-        backend=name,
-        spec=spec,
-        platform=platform,
-        grid=grid,
-        core_mapping=mapping,
-        time_per_iteration_us=point.time_per_iteration,
-        computation_per_iteration_us=point.computation_per_iteration,
-        pipeline_fill_per_iteration_us=point.pipeline_fill,
-        phases=phases,
+        name,
+        spec,
+        platform,
+        grid,
+        mapping,
+        point.time_per_iteration,
+        point.computation_per_iteration,
+        point.pipeline_fill,
+        phases,
     )

@@ -3,7 +3,8 @@
 * :mod:`repro.calibration.fitting` - re-derive the Table 2 LogGP constants
   from ping-pong measurements (simulated or user supplied);
 * :mod:`repro.calibration.workrate` - measure per-cell work rates (``Wg``)
-  from the real numpy kernels.
+  from the real numpy kernels.  Import it directly: it needs numpy, which
+  the rest of the package does not.
 """
 
 from repro.calibration.fitting import (
@@ -13,13 +14,6 @@ from repro.calibration.fitting import (
     fit_off_node,
     fit_on_chip,
 )
-from repro.calibration.workrate import (
-    WorkRateMeasurement,
-    calibrated_spec,
-    measure_ssor_wg,
-    measure_stencil_wg,
-    measure_transport_wg,
-)
 
 __all__ = [
     "FitQuality",
@@ -27,9 +21,4 @@ __all__ = [
     "derive_platform_parameters",
     "fit_off_node",
     "fit_on_chip",
-    "WorkRateMeasurement",
-    "calibrated_spec",
-    "measure_ssor_wg",
-    "measure_stencil_wg",
-    "measure_transport_wg",
 ]

@@ -46,11 +46,6 @@ from repro.campaigns.runner import CampaignRunner
 from repro.campaigns.spec import load_campaign_file
 from repro.campaigns.store import ResultStore, default_store_path
 from repro.calibration.fitting import derive_platform_parameters
-from repro.calibration.workrate import (
-    measure_ssor_wg,
-    measure_stencil_wg,
-    measure_transport_wg,
-)
 from repro.core.faults import FaultModel
 from repro.core.model import FILL_METHODS
 from repro.devtools.lint.cli import add_lint_arguments, run_lint
@@ -521,6 +516,13 @@ def _cmd_table3(args: argparse.Namespace) -> int:
 
 
 def _cmd_workrate(args: argparse.Namespace) -> int:
+    # The work-rate kernels need numpy; every other subcommand runs without it.
+    from repro.calibration.workrate import (
+        measure_ssor_wg,
+        measure_stencil_wg,
+        measure_transport_wg,
+    )
+
     table = Table(
         ["kernel", "cells", "Wg (us/cell)"],
         title="measured per-cell work rates (this machine, numpy kernels)",

@@ -24,7 +24,6 @@ from repro.core.comm import (
     ALLREDUCE_PAYLOAD_BYTES,
     CommunicationCosts,
     allreduce_time,
-    clear_comm_cost_cache,
     receive_cost,
     send_cost,
     total_comm,
@@ -65,7 +64,6 @@ __all__ = [
     "ALLREDUCE_PAYLOAD_BYTES",
     "CommunicationCosts",
     "allreduce_time",
-    "clear_comm_cost_cache",
     "receive_cost",
     "send_cost",
     "total_comm",

@@ -19,12 +19,10 @@ the platform's eager limit (1 KiB on the XT4) pay the rendezvous handshake
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from repro.core.loggp import OffNodeParams, OnChipParams, Platform
-from repro.util.caching import call_with_unhashable_fallback, register_cache_clearer
+from repro.core.xp import SCALAR
 
 __all__ = [
     "CommunicationCosts",
@@ -39,7 +37,6 @@ __all__ = [
     "send_cost",
     "receive_cost",
     "allreduce_time",
-    "clear_comm_cost_cache",
     "ALLREDUCE_PAYLOAD_BYTES",
 ]
 
@@ -62,6 +59,57 @@ def _require_positive_size(message_bytes: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Table 1 kernels over an array namespace ``xp`` (see repro.core.xp): the
+# public functions below run them on floats, analytic-vec on columns.
+# ---------------------------------------------------------------------------
+
+def _total_off(xp, params: OffNodeParams, size):
+    base = params.overhead + size * params.gap_per_byte + params.latency + params.overhead
+    return xp.where(
+        size <= params.eager_limit, base, base + params.handshake_time + params.overhead
+    )
+
+
+def _send_off(xp, params: OffNodeParams, size):
+    return xp.where(
+        size <= params.eager_limit,
+        params.overhead,
+        params.overhead + params.handshake_time,
+    )
+
+
+def _receive_off(xp, params: OffNodeParams, size):
+    rendezvous = (
+        params.latency
+        + params.overhead
+        + size * params.gap_per_byte
+        + params.latency
+        + params.overhead
+    )
+    return xp.where(size <= params.eager_limit, params.overhead, rendezvous)
+
+
+def _total_chip(xp, params: OnChipParams, size):
+    return xp.where(
+        size <= params.eager_limit,
+        params.copy_overhead + size * params.gap_per_byte_copy + params.copy_overhead,
+        params.overhead + size * params.gap_per_byte_dma + params.copy_overhead,
+    )
+
+
+def _send_chip(xp, params: OnChipParams, size):
+    return xp.where(size <= params.eager_limit, params.copy_overhead, params.overhead)
+
+
+def _receive_chip(xp, params: OnChipParams, size):
+    return xp.where(
+        size <= params.eager_limit,
+        params.copy_overhead,
+        size * params.gap_per_byte_dma + params.copy_overhead,
+    )
+
+
+# ---------------------------------------------------------------------------
 # Off-node (inter-node) communication: Table 1(a)
 # ---------------------------------------------------------------------------
 
@@ -71,11 +119,7 @@ def total_comm_off_node(params: OffNodeParams, message_bytes: float) -> float:
     ``<= eager_limit``:  ``o + M*G + L + o``
     ``>  eager_limit``:  ``o + h + o + M*G + L + o`` with ``h = 2(L + oh)``.
     """
-    size = _require_positive_size(message_bytes)
-    base = params.overhead + size * params.gap_per_byte + params.latency + params.overhead
-    if size <= params.eager_limit:
-        return base
-    return base + params.handshake_time + params.overhead
+    return _total_off(SCALAR, params, _require_positive_size(message_bytes))
 
 
 def send_off_node(params: OffNodeParams, message_bytes: float) -> float:
@@ -84,10 +128,7 @@ def send_off_node(params: OffNodeParams, message_bytes: float) -> float:
     Small messages cost one overhead ``o``; large messages additionally wait
     for the rendezvous handshake, ``o + h``.
     """
-    size = _require_positive_size(message_bytes)
-    if size <= params.eager_limit:
-        return params.overhead
-    return params.overhead + params.handshake_time
+    return _send_off(SCALAR, params, _require_positive_size(message_bytes))
 
 
 def receive_off_node(params: OffNodeParams, message_bytes: float) -> float:
@@ -97,16 +138,7 @@ def receive_off_node(params: OffNodeParams, message_bytes: float) -> float:
     buffered).  For large messages the receiver replies to the handshake and
     then waits for the payload: ``L + o + M*G + L + o``.
     """
-    size = _require_positive_size(message_bytes)
-    if size <= params.eager_limit:
-        return params.overhead
-    return (
-        params.latency
-        + params.overhead
-        + size * params.gap_per_byte
-        + params.latency
-        + params.overhead
-    )
+    return _receive_off(SCALAR, params, _require_positive_size(message_bytes))
 
 
 # ---------------------------------------------------------------------------
@@ -119,26 +151,17 @@ def total_comm_on_chip(params: OnChipParams, message_bytes: float) -> float:
     ``<= eager_limit``:  ``ocopy + M*Gcopy + ocopy``
     ``>  eager_limit``:  ``(ocopy + odma) + M*Gdma + ocopy``
     """
-    size = _require_positive_size(message_bytes)
-    if size <= params.eager_limit:
-        return params.copy_overhead + size * params.gap_per_byte_copy + params.copy_overhead
-    return params.overhead + size * params.gap_per_byte_dma + params.copy_overhead
+    return _total_chip(SCALAR, params, _require_positive_size(message_bytes))
 
 
 def send_on_chip(params: OnChipParams, message_bytes: float) -> float:
     """CPU time in ``MPI_Send`` for an on-chip message (eqs. (7), (8a))."""
-    size = _require_positive_size(message_bytes)
-    if size <= params.eager_limit:
-        return params.copy_overhead
-    return params.overhead
+    return _send_chip(SCALAR, params, _require_positive_size(message_bytes))
 
 
 def receive_on_chip(params: OnChipParams, message_bytes: float) -> float:
     """CPU/wait time in ``MPI_Recv`` for an on-chip message (eqs. (7), (8b))."""
-    size = _require_positive_size(message_bytes)
-    if size <= params.eager_limit:
-        return params.copy_overhead
-    return size * params.gap_per_byte_dma + params.copy_overhead
+    return _receive_chip(SCALAR, params, _require_positive_size(message_bytes))
 
 
 # ---------------------------------------------------------------------------
@@ -162,24 +185,29 @@ def _resolve_level(on_chip: bool, level: str | None) -> str:
     return level
 
 
-def _level_params(
-    platform: Platform, on_chip: bool, level: str | None
-) -> tuple[OffNodeParams, None] | tuple[None, OnChipParams]:
-    """Resolve a hop level to its parameter bundle and sub-model.
+#: Table 1(a) and 1(b) kernels of each cost kind.
+_KERNELS = {
+    "total": (_total_off, _total_chip),
+    "send": (_send_off, _send_chip),
+    "receive": (_receive_off, _receive_chip),
+}
 
-    Returns ``(off_node_style_params, None)`` for hops priced with the
-    Table 1(a) protocol equations (the machine interconnect, or the
-    intra-node link on hierarchical platforms) and ``(None, on_chip_params)``
-    for hops priced with the Table 1(b) memory-copy/DMA equations.  On
+
+def _message_cost(xp, platform: Platform, level: str, size, kind: str):
+    """One Table 1 cost (``kind``: total/send/receive) of a hop at ``level``.
+
+    The machine interconnect, and the intra-node link on hierarchical
+    platforms, are priced with the Table 1(a) protocol equations; the other
+    hops with the Table 1(b) memory-copy/DMA equations.  On
     non-hierarchical platforms a ``"node"`` hop *is* an on-chip hop, so the
     level degrades gracefully instead of raising.
     """
-    resolved = _resolve_level(on_chip, level)
-    if resolved == "machine":
-        return platform.off_node, None
-    if resolved == "node" and platform.intra_node is not None:
-        return platform.intra_node, None
-    return None, _on_chip_params(platform)
+    off_kernel, chip_kernel = _KERNELS[kind]
+    if level == "machine":
+        return off_kernel(xp, platform.off_node, size)
+    if level == "node" and platform.intra_node is not None:
+        return off_kernel(xp, platform.intra_node, size)
+    return chip_kernel(xp, _on_chip_params(platform), size)
 
 
 def total_comm(
@@ -194,10 +222,10 @@ def total_comm(
     ``level`` (``"chip"``/``"node"``/``"machine"``) generalises the legacy
     ``on_chip`` flag; when both are given ``level`` wins.
     """
-    off_params, chip_params = _level_params(platform, on_chip, level)
-    if off_params is not None:
-        return total_comm_off_node(off_params, message_bytes)
-    return total_comm_on_chip(chip_params, message_bytes)
+    return _message_cost(
+        SCALAR, platform, _resolve_level(on_chip, level),
+        _require_positive_size(message_bytes), "total",
+    )
 
 
 def send_cost(
@@ -208,10 +236,10 @@ def send_cost(
     level: str | None = None,
 ) -> float:
     """``MPI_Send`` cost, dispatching on the hop level."""
-    off_params, chip_params = _level_params(platform, on_chip, level)
-    if off_params is not None:
-        return send_off_node(off_params, message_bytes)
-    return send_on_chip(chip_params, message_bytes)
+    return _message_cost(
+        SCALAR, platform, _resolve_level(on_chip, level),
+        _require_positive_size(message_bytes), "send",
+    )
 
 
 def receive_cost(
@@ -222,20 +250,18 @@ def receive_cost(
     level: str | None = None,
 ) -> float:
     """``MPI_Recv`` cost, dispatching on the hop level."""
-    off_params, chip_params = _level_params(platform, on_chip, level)
-    if off_params is not None:
-        return receive_off_node(off_params, message_bytes)
-    return receive_on_chip(chip_params, message_bytes)
+    return _message_cost(
+        SCALAR, platform, _resolve_level(on_chip, level),
+        _require_positive_size(message_bytes), "receive",
+    )
 
 
 @dataclass(frozen=True)
 class CommunicationCosts:
-    """Pre-computed send / receive / end-to-end costs for one message size.
+    """Send / receive / end-to-end costs for one message size.
 
-    The plug-and-play model evaluates the same message size many times while
-    filling the ``StartP`` recurrence; this small value object avoids
-    recomputing the Table 1 equations in the inner loop and keeps the model
-    equations readable (``costs.send``, ``costs.receive``, ``costs.total``).
+    Bundles the three Table 1 costs of one message so model equations read
+    ``costs.send``, ``costs.receive``, ``costs.total``.
     """
 
     message_bytes: float
@@ -253,37 +279,19 @@ class CommunicationCosts:
         on_chip: bool = False,
         level: str | None = None,
     ) -> "CommunicationCosts":
-        """Costs for one message, memoised on ``(cls, platform, size, level)``.
+        """Costs for one message.
 
         ``level`` names the hop level (``"chip"``/``"node"``/``"machine"``)
         on hierarchical platforms; the legacy ``on_chip`` flag maps to
-        ``"chip"``/``"machine"``.  Parameter sweeps re-evaluate the same
-        handful of message sizes for thousands of grid positions and sweep
-        points; the keyed memo makes every repeat a dictionary hit.
-        Platforms are frozen dataclasses, so value-equal platforms share
-        cache entries; subclasses get their own entries (and instances of
-        their own type).
+        ``"chip"``/``"machine"``.
         """
-        # An unhashable (e.g. subclassed) platform falls back to an uncached
-        # computation.
-        return call_with_unhashable_fallback(
-            _for_message_cached,
-            _for_message_uncached,
-            cls,
-            platform,
-            float(message_bytes),
-            _resolve_level(bool(on_chip), level),
-        )
-
-    @classmethod
-    def _compute(
-        cls, platform: Platform, message_bytes: float, level: str
-    ) -> "CommunicationCosts":
+        level = _resolve_level(bool(on_chip), level)
+        size = float(message_bytes)
         return cls(
-            message_bytes=message_bytes,
-            send=send_cost(platform, message_bytes, level=level),
-            receive=receive_cost(platform, message_bytes, level=level),
-            total=total_comm(platform, message_bytes, level=level),
+            message_bytes=size,
+            send=send_cost(platform, size, level=level),
+            receive=receive_cost(platform, size, level=level),
+            total=total_comm(platform, size, level=level),
             on_chip=level == "chip",
         )
 
@@ -303,24 +311,31 @@ class CommunicationCosts:
         )
 
 
-def _for_message_uncached(
-    cls: type, platform: Platform, message_bytes: float, level: str
-) -> CommunicationCosts:
-    return cls._compute(platform, message_bytes, level)
-
-
-_for_message_cached = lru_cache(maxsize=16384)(_for_message_uncached)
-
-
-@register_cache_clearer
-def clear_comm_cost_cache() -> None:
-    """Drop all memoised :meth:`CommunicationCosts.for_message` entries."""
-    _for_message_cached.cache_clear()
-
-
 # ---------------------------------------------------------------------------
 # Group communication: MPI all-reduce (equation (9))
 # ---------------------------------------------------------------------------
+
+def _allreduce(xp, platform: Platform, total_cores, message_bytes):
+    """Equation (9) over an array namespace; see :func:`allreduce_time`."""
+    cores_per_node = xp.minimum(total_cores, platform.node.cores_per_node)
+    log_p = xp.log2(total_cores)
+    log_c = xp.log2(cores_per_node)
+    off_node_term = (
+        (log_p - log_c)
+        * cores_per_node
+        * _total_off(xp, platform.off_node, message_bytes)
+    )
+    on_chip_term = 0.0
+    if platform.node.cores_per_node > 1:
+        on_chip_term = xp.where(
+            cores_per_node > 1,
+            log_c
+            * cores_per_node
+            * _total_chip(xp, _on_chip_params(platform), message_bytes),
+            0.0,
+        )
+    return xp.where(total_cores == 1, 0.0, off_node_term + on_chip_term)
+
 
 def allreduce_time(
     platform: Platform,
@@ -340,22 +355,6 @@ def allreduce_time(
     """
     if total_cores < 1:
         raise ValueError("total_cores must be >= 1")
-    if total_cores == 1:
-        return 0.0
-    cores_per_node = min(platform.node.cores_per_node, total_cores)
-    log_p = math.log2(total_cores)
-    log_c = math.log2(cores_per_node)
-    off_node_term = (
-        (log_p - log_c)
-        * cores_per_node
-        * total_comm_off_node(platform.off_node, message_bytes)
+    return _allreduce(
+        SCALAR, platform, total_cores, _require_positive_size(message_bytes)
     )
-    if cores_per_node > 1:
-        on_chip_term = (
-            log_c
-            * cores_per_node
-            * total_comm_on_chip(_on_chip_params(platform), message_bytes)
-        )
-    else:
-        on_chip_term = 0.0
-    return off_node_term + on_chip_term

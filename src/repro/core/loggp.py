@@ -235,10 +235,10 @@ class Platform:
                 "the node into more than one chip"
             )
 
-    def __hash__(self) -> int:
-        # Platforms key every prediction memo; the generated hash re-walks
-        # the nested parameter tree on each dict operation.
-        return cached_field_hash(self)
+    # Platforms key every prediction memo; the generated hash re-walks
+    # the nested parameter tree on each dict operation.
+    # Bound directly, so hashing costs one Python call, not two.
+    __hash__ = cached_field_hash
 
     @property
     def is_multicore(self) -> bool:

@@ -77,15 +77,16 @@ from dataclasses import dataclass
 
 from repro.apps.base import WavefrontSpec
 from repro.core.decomposition import CoreMapping, ProcessorGrid
-from repro.core.faults import expected_rework_us, rework_guard
+from repro.core.faults import FaultModel, expected_rework_us, rework_guard
 from repro.core.hetero import column_multipliers, diagonal_multipliers, max_multiplier
 from repro.core.loggp import Platform
 from repro.core.multicore import (
     StackCommCosts,
-    fill_step_costs,
+    _fill_step_table,
+    _stack_comm_costs,
     resolve_core_mapping,
-    stack_comm_costs,
 )
+from repro.core.xp import SCALAR
 
 __all__ = [
     "FillTimes",
@@ -176,17 +177,14 @@ class IterationPrediction:
     @property
     def pipeline_fill_time(self) -> float:
         """Total pipeline-fill time per iteration (Figure 12's quantity)."""
-        return self.ndiag * self.fill.tdiagfill + self.nfull * self.fill.tfullfill
+        return _titer(self.ndiag, self.fill.tdiagfill, self.nfull, self.fill.tfullfill)
 
     @property
     def time_per_iteration(self) -> float:
         """Equation (r5) plus the expected-rework correction, microseconds."""
-        return (
-            self.ndiag * self.fill.tdiagfill
-            + self.nfull * self.fill.tfullfill
-            + self.nsweeps * self.stack.total
-            + self.tnonwavefront
-            + self.trework
+        return _titer(
+            self.ndiag, self.fill.tdiagfill, self.nfull, self.fill.tfullfill,
+            self.nsweeps * self.stack.total, self.tnonwavefront, self.trework,
         )
 
     @property
@@ -196,12 +194,9 @@ class IterationPrediction:
         Rework redoes computation (plus node downtime), so the correction
         counts here rather than in the communication component.
         """
-        return (
-            self.ndiag * self.fill.tdiagfill_work
-            + self.nfull * self.fill.tfullfill_work
-            + self.nsweeps * self.stack.work
-            + self.tnonwavefront_work
-            + self.trework
+        return _titer(
+            self.ndiag, self.fill.tdiagfill_work, self.nfull, self.fill.tfullfill_work,
+            self.nsweeps * self.stack.work, self.tnonwavefront_work, self.trework,
         )
 
     @property
@@ -210,113 +205,47 @@ class IterationPrediction:
         return self.time_per_iteration - self.computation_per_iteration
 
 
-def _fill_cost_table(
-    spec: WavefrontSpec,
-    platform: Platform,
-    grid: ProcessorGrid,
-    mapping: CoreMapping,
-) -> tuple[list[list[tuple[float, float, float, float]]], bool]:
-    """Per-residue-class ``(TotalCommE, ReceiveN, SendE, TotalCommS)`` costs.
+# ---------------------------------------------------------------------------
+# The equations over an array namespace ``xp`` (see repro.core.xp): the
+# public functions below run them on floats, repro.core.model_vec on columns.
+# ---------------------------------------------------------------------------
 
-    The table is indexed ``[i % Cx][j % Cy]`` (1-based grid coordinates); the
-    Table 6 on-chip/off-node classification - delegated to
-    :func:`repro.core.multicore.fill_step_costs`, the single source of truth -
-    depends only on those residues.  For single-core platforms the table
-    collapses to one off-node entry.
+def _titer(ndiag, tdiag, nfull, tfull, *terms):
+    """Equation (r5): ``ndiag*Tdiagfill + nfull*Tfullfill`` plus ``terms`` in order.
+
+    The terms are the stack phase ``nsweeps*Tstack``, ``Tnonwavefront`` and
+    the rework correction (or, for the rework guard's base time, the
+    non-wavefront work and communication).
     """
-    multicore = platform.is_multicore and mapping.cores_per_node > 1
-    cx, cy = (mapping.cx, mapping.cy) if multicore else (1, 1)
-    table = []
-    for im in range(cx):
-        i = im if im >= 1 else cx  # representative 1-based column of the class
-        column = []
-        for jm in range(cy):
-            j = jm if jm >= 1 else cy
-            costs = fill_step_costs(platform, spec, grid, i, j, mapping)
-            column.append(
-                (
-                    costs.total_comm_east,
-                    costs.receive_north,
-                    costs.send_east,
-                    costs.total_comm_south,
-                )
-            )
-        table.append(column)
-    return table, multicore
-
-
-def _startp_exact(
-    n: int,
-    m: int,
-    w: float,
-    wpre: float,
-    table: list[list[tuple[float, float, float, float]]],
-    cx: int,
-    cy: int,
-) -> tuple[float, float]:
-    """Reference evaluation of equations (r2a)-(r2b): the full grid walk.
-
-    Returns ``(StartP(1, m), StartP(n, m))``, i.e. the diagonal- and
-    full-fill corner values for a sweep originating at ``(1, 1)``.
-    """
-    # Only cy distinct row cost patterns exist; materialise each once.
-    rows = [[table[i % cx][jm] for i in range(1, n + 1)] for jm in range(cy)]
-
-    # Row j = 1: west dependencies only, and no ReceiveN term.
-    prev = [0.0] * n
-    prev[0] = wpre
-    row1 = rows[1 % cy]
-    for i in range(2, n + 1):
-        prev[i - 1] = prev[i - 2] + w + row1[i - 1][0]
-
-    for j in range(2, m + 1):
-        row = rows[j % cy]
-        cur = [0.0] * n
-        # Column i = 1: north dependency only (SendE applies only when n > 1).
-        cur[0] = prev[0] + w + (row[0][2] if n > 1 else 0.0) + row[0][3]
-        for i in range(2, n + 1):
-            comm_e, recv_n, send_e, comm_s = row[i - 1]
-            west = cur[i - 2] + w + comm_e + recv_n
-            north = prev[i - 1] + w + send_e + comm_s
-            cur[i - 1] = west if west >= north else north
-        prev = cur
-
-    return prev[0], prev[n - 1]
-
-
-def _count_residue(lo: int, hi: int, period: int, residue: int) -> int:
-    """Number of integers in ``[lo, hi]`` congruent to ``residue`` mod ``period``."""
-    if hi < lo:
-        return 0
-    return (hi - residue) // period - (lo - 1 - residue) // period
-
-
-def _startp_diag(
-    n: int,
-    m: int,
-    w: float,
-    wpre: float,
-    table: list[list[tuple[float, float, float, float]]],
-    cx: int,
-    cy: int,
-) -> float:
-    """``StartP(1, m)`` in closed form: the single path down column 1."""
-    send_e = table[1 % cx][0][2] if n > 1 else 0.0  # SendE is j-independent
-    total = wpre
-    for jm in range(cy):
-        count = _count_residue(2, m, cy, jm)
-        if count:
-            total += count * (w + send_e + table[1 % cx][jm][3])
+    total = ndiag * tdiag + nfull * tfull
+    for term in terms:
+        total = total + term
     return total
 
 
-def _startp_homogeneous(
-    n: int,
-    m: int,
-    w: float,
-    wpre: float,
-    costs: tuple[float, float, float, float],
-) -> tuple[float, float]:
+def _stretch(platform: Platform, work):
+    """Noise and checkpoint-dump stretch of compute time ``work``.
+
+    Background noise stretches every compute operation by the noise model's
+    mean factor (see :mod:`repro.core.hetero`); periodic checkpoint dumps by
+    the duty-cycle factor ``1 + cost/interval`` (see
+    :mod:`repro.core.faults`).  Both are exactly 1.0 on homogeneous
+    platforms, and ``x * 1.0 == x``, so those results stay bit-identical.
+    """
+    faults = platform.faults
+    dump = 1.0 if faults is None else faults.checkpoint_inflation()
+    return work * platform.noise_inflation() * dump
+
+
+def _slowest(platform: Platform, grid: ProcessorGrid, mapping: CoreMapping) -> float:
+    """The machine's slowest speed multiplier; 1.0 without a profile."""
+    profile = platform.speed_profile
+    if profile is None or profile.is_trivial:
+        return 1.0
+    return max_multiplier(profile, grid, mapping)
+
+
+def _startp_closed(xp, n, m, w, wpre, costs):
     """Closed-form ``StartP`` corners for position-independent costs.
 
     Every monotone path from ``(1, 1)`` to ``(n, m)`` takes ``n - 1`` east
@@ -326,11 +255,69 @@ def _startp_homogeneous(
     east, which yields the expressions below.
     """
     comm_e, recv_n, send_e, comm_s = costs
-    south = w + (send_e if n > 1 else 0.0) + comm_s
-    tdiag = wpre + (m - 1) * south
-    if m == 1:
-        return tdiag, wpre + (n - 1) * (w + comm_e)
-    return tdiag, tdiag + (n - 1) * (w + comm_e + recv_n)
+    tdiag = wpre + (m - 1) * (w + xp.where(n > 1, send_e, 0.0) + comm_s)
+    tfull = xp.where(
+        m == 1,
+        wpre + (n - 1) * (w + comm_e),
+        tdiag + (n - 1) * (w + comm_e + recv_n),
+    )
+    return tdiag, tfull
+
+
+def _startp_walk(xp, n, m, w, wpre, table, cells):
+    """Equations (r2a)-(r2b) on an ``n x m`` grid, harvesting ``StartP`` at ``cells``.
+
+    Returns ``{(i, j): StartP(i, j)}``.  With ``cells`` holding ``(1, m)``
+    and ``(n, m)`` this is the exact walk.  The value at ``(i, j)`` depends
+    only on the rectangle below and left of it, so it is also the corner
+    value of the smaller ``i x j`` grid whenever ``i`` agrees with ``n`` on
+    the ``n > 1`` first-column guard - which is how the period fold reads
+    all its corners off one walk.
+    """
+    scalar = xp is SCALAR
+    maximum = xp.maximum
+    cx, cy = len(table), len(table[0])
+    wanted: dict[int, list[int]] = {}
+    for i, j in cells:
+        wanted.setdefault(j, []).append(i)
+    # Only cy distinct row cost patterns exist: the first column's entry,
+    # and the entries of columns 2..n.
+    heads = [table[1 % cx][jm] for jm in range(cy)]
+    tails = [[table[i % cx][jm] for i in range(2, n + 1)] for jm in range(cy)]
+    found = {}
+
+    # Row j = 1: west dependencies only, and no ReceiveN term.
+    value = wpre
+    prev = [value]
+    for comm_e, _recv_n, _send_e, _comm_s in tails[1 % cy]:
+        value = value + w + comm_e
+        prev.append(value)
+    for i in wanted.get(1, ()):
+        found[i, 1] = prev[i - 1]
+
+    for j in range(2, m + 1):
+        _comm_e, _recv_n, send_e, comm_s = heads[j % cy]
+        # Column i = 1: north dependency only (SendE applies only when n > 1).
+        west = prev[0] + w + (send_e if n > 1 else 0.0) + comm_s
+        cur = [west]
+        for above, (comm_e, recv_n, send_e, comm_s) in zip(prev[1:], tails[j % cy]):
+            west = west + w + comm_e + recv_n
+            north = above + w + send_e + comm_s
+            # The float tie rule stays inline: a call per cell would double
+            # the exact walk's cost.
+            west = (west if west >= north else north) if scalar else maximum(west, north)
+            cur.append(west)
+        prev = cur
+        for i in wanted.get(j, ()):
+            found[i, j] = prev[i - 1]
+    return found
+
+
+def _count_residue(lo: int, hi: int, period: int, residue: int) -> int:
+    """Number of integers in ``[lo, hi]`` congruent to ``residue`` mod ``period``."""
+    if hi < lo:
+        return 0
+    return (hi - residue) // period - (lo - 1 - residue) // period
 
 
 def _fold_geometry(n: int, m: int, cx: int, cy: int) -> tuple[int, int, int, int] | None:
@@ -356,49 +343,73 @@ def _fold_geometry(n: int, m: int, cx: int, cy: int) -> tuple[int, int, int, int
     return n0, m0, kx, ky
 
 
-def _startp_periodic(
-    n: int,
-    m: int,
-    w: float,
-    wpre: float,
-    table: list[list[tuple[float, float, float, float]]],
-    cx: int,
-    cy: int,
-) -> tuple[float, float] | None:
-    """Period-folded ``StartP`` for multi-core (periodic-cost) grids.
+def _fill_plan(n: int, m: int, cx: int, cy: int):
+    """``(walk, kx, ky, counts)``: how the fast path prices an ``n x m`` grid.
 
-    Evaluates the folded grid of :func:`_fold_geometry`, measures the
-    per-period growth of ``StartP(n, m)`` in each direction, verifies the
-    growth is linear (vanishing second differences and cross term), and
-    extrapolates.  Returns ``None`` when the grid does not fold or the
-    linearity verification fails.
+    ``walk = (n0, m0, fold_x, fold_y)`` is the grid walked and the axes
+    folded; ``kx``/``ky`` are the periods folded away and ``counts[jm]``
+    the rows ``2..m`` in residue class ``jm`` (for the closed-form
+    ``StartP(1, m)``).  A grid the fold refuses is walked whole:
+    ``(n, m, False, False)``.  Grids sharing a ``walk`` share one walk.
     """
     fold = _fold_geometry(n, m, cx, cy)
     if fold is None:
-        return None
+        return (n, m, False, False), 0, 0, ()
     n0, m0, kx, ky = fold
+    counts = tuple(_count_residue(2, m, cy, jm) for jm in range(cy))
+    return (n0, m0, kx > 0, ky > 0), kx, ky, counts
 
-    def corner(a: int, b: int) -> float:
-        return _startp_exact(n0 + a * cx, m0 + b * cy, w, wpre, table, cx, cy)[1]
 
-    f00 = corner(0, 0)
-    tolerance = _FOLD_REL_TOL * max(1.0, abs(f00))
+def _startp_corners(xp, walk, kx, ky, counts, w, wpre, table):
+    """``(StartP(1, m), StartP(n, m), bad)`` for a grid planned onto ``walk``.
+
+    An unfolded walk is the exact recurrence.  A folded one measures the
+    per-period growth of ``StartP`` in each folded direction, verifies it
+    is linear (vanishing second differences and cross term) and
+    extrapolates by ``kx``/``ky`` periods; ``StartP(1, m)``, the single
+    path down column 1, is summed in closed form from ``counts``.  ``bad``
+    flags the points whose linearity check failed: they need the exact
+    walk.
+    """
+    n0, m0, fold_x, fold_y = walk
+    cx, cy = len(table), len(table[0])
+    if not (fold_x or fold_y):
+        found = _startp_walk(xp, n0, m0, w, wpre, table, ((1, m0), (n0, m0)))
+        return found[1, m0], found[n0, m0], False
+    cells = [(n0, m0)]
+    if fold_x:
+        cells += [(n0 + cx, m0), (n0 + 2 * cx, m0)]
+    if fold_y:
+        cells += [(n0, m0 + cy), (n0, m0 + 2 * cy)]
+    if fold_x and fold_y:
+        cells.append((n0 + cx, m0 + cy))
+    corner = _startp_walk(
+        xp, n0 + 2 * cx if fold_x else n0, m0 + 2 * cy if fold_y else m0,
+        w, wpre, table, cells,
+    )
+    f00 = corner[n0, m0]
+    tolerance = _FOLD_REL_TOL * xp.maximum(xp.abs(f00), 1.0)
+    bad = False
     dx = dy = 0.0
-    if kx:
-        f10 = corner(1, 0)
+    if fold_x:
+        f10 = corner[n0 + cx, m0]
         dx = f10 - f00
-        if abs((corner(2, 0) - f10) - dx) > tolerance:
-            return None
-    if ky:
-        f01 = corner(0, 1)
+        bad = bad | (xp.abs((corner[n0 + 2 * cx, m0] - f10) - dx) > tolerance)
+    if fold_y:
+        f01 = corner[n0, m0 + cy]
         dy = f01 - f00
-        if abs((corner(0, 2) - f01) - dy) > tolerance:
-            return None
-    if kx and ky and abs(corner(1, 1) - (f00 + dx + dy)) > tolerance:
-        return None
+        bad = bad | (xp.abs((corner[n0, m0 + 2 * cy] - f01) - dy) > tolerance)
+    if fold_x and fold_y:
+        bad = bad | (xp.abs(corner[n0 + cx, m0 + cy] - (f00 + dx + dy)) > tolerance)
 
-    tfull = f00 + kx * dx + ky * dy
-    return _startp_diag(n, m, w, wpre, table, cx, cy), tfull
+    # StartP(1, m): SendE is j-independent and applies only when n > 1 (a
+    # folded axis keeps n0 > 1, so n0 decides for the whole grid).
+    column = table[1 % cx]
+    send_e = column[0][2] if n0 > 1 else 0.0
+    tdiag = wpre
+    for jm in range(cy):
+        tdiag = tdiag + counts[jm] * (w + send_e + column[jm][3])
+    return tdiag, f00 + kx * dx + ky * dy, bad
 
 
 def _heterogeneity_sums(
@@ -435,6 +446,55 @@ def _heterogeneity_sums(
     )
 
 
+def _fill_totals(n, m, w, wpre, tdiag, tfull, sums) -> FillTimes:
+    """:class:`FillTimes` from the ``StartP`` corners.
+
+    The computation portion is path-independent: every monotone path to a
+    corner takes the same number of steps, each contributing one ``W``.
+    ``sums`` (from :func:`_heterogeneity_sums`, ``None`` without a
+    non-trivial profile) adds the bounded-heterogeneity correction - pure
+    extra work, so it raises the fill times and their work portions alike.
+    """
+    tdiag_work = wpre + (m - 1) * w
+    tfull_work = wpre + (n + m - 2) * w
+    if sums is not None:
+        col0, col_rest, diag0, diag_rest = sums
+        extra_diag = wpre * col0 + w * col_rest
+        extra_full = wpre * diag0 + w * diag_rest
+        tdiag = tdiag + extra_diag
+        tfull = tfull + extra_full
+        tdiag_work = tdiag_work + extra_diag
+        tfull_work = tfull_work + extra_full
+    return FillTimes(
+        tdiagfill=tdiag,
+        tfullfill=tfull,
+        tdiagfill_work=tdiag_work,
+        tfullfill_work=tfull_work,
+    )
+
+
+def _stack_totals(comm: StackCommCosts, w, wpre, tiles) -> StackTime:
+    """Equation (r4): ``(per-tile comm + W + Wpre) * Nz/Htile - Wpre``."""
+    per_tile = comm.per_tile_comm + w + wpre
+    return StackTime(
+        total=per_tile * tiles - wpre,
+        work=(w + wpre) * tiles - wpre,
+        per_tile_comm=comm.per_tile_comm,
+        tiles=tiles,
+        comm_costs=comm,
+    )
+
+
+def _rework(faults: FaultModel, base_time: float) -> float:
+    """The guarded expected-rework correction over a fault-free span.
+
+    ``E[failures] x mean rework``, first-order and valid only while
+    failures are rare (see docs/faults.md).
+    """
+    rework_guard(faults, base_time)
+    return expected_rework_us(faults, base_time)
+
+
 def _require_analytic_supported(platform: Platform) -> None:
     """Reject simulator-only scenarios instead of silently mispricing them.
 
@@ -450,16 +510,9 @@ def _require_analytic_supported(platform: Platform) -> None:
         )
 
 
-def _fault_inflation(platform: Platform) -> float:
-    """Deterministic checkpoint-dump stretch of the platform's fault model.
-
-    Exactly 1.0 on fault-free platforms (and on fault models that never
-    checkpoint), preserving the homogeneous results bit for bit.
-    """
-    if platform.faults is None:
-        return 1.0
-    return platform.faults.checkpoint_inflation()
-
+# ---------------------------------------------------------------------------
+# The scalar model
+# ---------------------------------------------------------------------------
 
 def fill_times(
     spec: WavefrontSpec,
@@ -488,58 +541,25 @@ def fill_times(
     _require_analytic_supported(platform)
     mapping = resolve_core_mapping(platform, core_mapping)
     n, m = grid.n, grid.m
-    w = spec.work_per_tile(grid, platform)
-    wpre = spec.pre_work_per_tile(grid, platform)
-    inflation = platform.noise_inflation()
-    if inflation != 1.0:  # repro: noqa[RPR004] exactly 1.0 on homogeneous platforms; fast path preserves bit-for-bit identity
-        # Background noise stretches every compute operation; the analytic
-        # model charges the mean factor (see repro.core.hetero).
-        w *= inflation
-        wpre *= inflation
-    dump = _fault_inflation(platform)
-    if dump != 1.0:  # repro: noqa[RPR004] exactly 1.0 on fault-free platforms; fast path preserves bit-for-bit identity
-        # Periodic checkpoint dumps stretch every compute operation by the
-        # duty-cycle factor 1 + cost/interval (see repro.core.faults).
-        w *= dump
-        wpre *= dump
-    table, multicore = _fill_cost_table(spec, platform, grid, mapping)
-    cx, cy = len(table), len(table[0])
-
-    if method == "exact":
-        tdiag, tfull = _startp_exact(n, m, w, wpre, table, cx, cy)
-    elif not multicore:
-        tdiag, tfull = _startp_homogeneous(n, m, w, wpre, table[0][0])
+    w = _stretch(platform, spec.work_per_tile(grid, platform))
+    wpre = _stretch(platform, spec.pre_work_per_tile(grid, platform))
+    table = _fill_step_table(
+        SCALAR, platform, mapping, spec.message_size_ew(grid), spec.message_size_ns(grid)
+    )
+    exact = ((n, m, False, False), 0, 0, ())
+    if method != "exact" and mapping.cores_per_node == 1:
+        tdiag, tfull = _startp_closed(SCALAR, n, m, w, wpre, table[0][0])
     else:
-        folded = _startp_periodic(n, m, w, wpre, table, cx, cy)
-        if folded is None:
-            tdiag, tfull = _startp_exact(n, m, w, wpre, table, cx, cy)
-        else:
-            tdiag, tfull = folded
-
-    # The computation portion is path-independent: every monotone path to a
-    # corner takes the same number of steps, each contributing one W.
-    tdiag_work = wpre + (m - 1) * w
-    tfull_work = wpre + (n + m - 2) * w
+        plan = exact if method == "exact" else _fill_plan(n, m, mapping.cx, mapping.cy)
+        tdiag, tfull, bad = _startp_corners(SCALAR, *plan, w, wpre, table)
+        if bad:
+            tdiag, tfull, _bad = _startp_corners(SCALAR, *exact, w, wpre, table)
 
     profile = platform.speed_profile
+    sums = None
     if profile is not None and not profile.is_trivial:
-        # Bounded-heterogeneity correction: the slowest rank on each
-        # wavefront diagonal governs the recurrence (pure extra work, so it
-        # raises the fill times and their work portions by the same amount).
-        col0, col_rest, diag0, diag_rest = _heterogeneity_sums(platform, grid, mapping)
-        extra_diag = wpre * col0 + w * col_rest
-        extra_full = wpre * diag0 + w * diag_rest
-        tdiag += extra_diag
-        tfull += extra_full
-        tdiag_work += extra_diag
-        tfull_work += extra_full
-
-    return FillTimes(
-        tdiagfill=tdiag,
-        tfullfill=tfull,
-        tdiagfill_work=tdiag_work,
-        tfullfill_work=tfull_work,
-    )
+        sums = _heterogeneity_sums(platform, grid, mapping)
+    return _fill_totals(n, m, w, wpre, tdiag, tfull, sums)
 
 
 def stack_time(
@@ -560,34 +580,16 @@ def stack_time(
     multiplier; background noise scales it by the mean inflation factor.
     """
     _require_analytic_supported(platform)
-    w = spec.work_per_tile(grid, platform)
-    wpre = spec.pre_work_per_tile(grid, platform)
-    inflation = platform.noise_inflation()
-    if inflation != 1.0:  # repro: noqa[RPR004] exactly 1.0 on homogeneous platforms; fast path preserves bit-for-bit identity
-        w *= inflation
-        wpre *= inflation
-    dump = _fault_inflation(platform)
-    if dump != 1.0:  # repro: noqa[RPR004] exactly 1.0 on fault-free platforms; fast path preserves bit-for-bit identity
-        w *= dump
-        wpre *= dump
-    profile = platform.speed_profile
-    if profile is not None and not profile.is_trivial:
-        mapping = resolve_core_mapping(platform, core_mapping)
-        slowest = max_multiplier(profile, grid, mapping)
-        if slowest != 1.0:  # repro: noqa[RPR004] trivial profile yields exactly 1.0; skip to keep identity
-            w *= slowest
-            wpre *= slowest
-    tiles = spec.tiles_per_stack()
-    comm = stack_comm_costs(platform, spec, grid, core_mapping)
-    per_tile = comm.per_tile_comm + w + wpre
-    total = per_tile * tiles - wpre
-    work = (w + wpre) * tiles - wpre
-    return StackTime(
-        total=total,
-        work=work,
-        per_tile_comm=comm.per_tile_comm,
-        tiles=tiles,
-        comm_costs=comm,
+    mapping = resolve_core_mapping(platform, core_mapping)
+    slowest = _slowest(platform, grid, mapping)
+    comm = _stack_comm_costs(
+        SCALAR, platform, mapping, spec.message_size_ew(grid), spec.message_size_ns(grid)
+    )
+    return _stack_totals(
+        comm,
+        _stretch(platform, spec.work_per_tile(grid, platform)) * slowest,
+        _stretch(platform, spec.pre_work_per_tile(grid, platform)) * slowest,
+        spec.tiles_per_stack(),
     )
 
 
@@ -611,33 +613,19 @@ def iteration_prediction(
     # every rank before the inter-iteration synchronisation, so its
     # critical path runs at the machine's slowest rank - the same bounded
     # treatment as the stack - and is stretched by background noise like
-    # any compute.  Both factors are exactly 1.0 on homogeneous platforms.
-    inflation = platform.noise_inflation()
-    if inflation != 1.0:  # repro: noqa[RPR004] exactly 1.0 on homogeneous platforms; fast path preserves bit-for-bit identity
-        nonwf_work *= inflation
-    dump = _fault_inflation(platform)
-    if dump != 1.0:  # repro: noqa[RPR004] exactly 1.0 on fault-free platforms; fast path preserves bit-for-bit identity
-        nonwf_work *= dump
-    profile = platform.speed_profile
-    if profile is not None and not profile.is_trivial:
-        slowest = max_multiplier(profile, grid, mapping)
-        if slowest != 1.0:  # repro: noqa[RPR004] trivial profile yields exactly 1.0; skip to keep identity
-            nonwf_work *= slowest
+    # any compute.
+    nonwf_work = _stretch(platform, nonwf_work) * _slowest(platform, grid, mapping)
+    nsweeps, nfull, ndiag = spec.nsweeps, spec.nfull, spec.ndiag
     trework = 0.0
     faults = platform.faults
     if faults is not None and faults.fails:
-        # Bounded expected-rework correction: E[failures] x mean rework
-        # over the iteration's fault-free span, first-order and guarded
-        # (rare-failure regime only; see docs/faults.md).
-        base_time = (
-            spec.ndiag * fill.tdiagfill
-            + spec.nfull * fill.tfullfill
-            + spec.nsweeps * stack.total
-            + nonwf_work
-            + nonwf_comm
+        trework = _rework(
+            faults,
+            _titer(
+                ndiag, fill.tdiagfill, nfull, fill.tfullfill,
+                nsweeps * stack.total, nonwf_work, nonwf_comm,
+            ),
         )
-        rework_guard(faults, base_time)
-        trework = expected_rework_us(faults, base_time)
     return IterationPrediction(
         spec_name=spec.name,
         platform_name=platform.name,
@@ -649,8 +637,8 @@ def iteration_prediction(
         stack=stack,
         tnonwavefront=nonwf_work + nonwf_comm,
         tnonwavefront_work=nonwf_work,
-        nsweeps=spec.nsweeps,
-        nfull=spec.nfull,
-        ndiag=spec.ndiag,
+        nsweeps=nsweeps,
+        nfull=nfull,
+        ndiag=ndiag,
         trework=trework,
     )

@@ -40,9 +40,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from repro.apps.base import WavefrontSpec
-from repro.core.comm import CommunicationCosts
+from repro.core.comm import _message_cost
 from repro.core.decomposition import CoreMapping, ProcessorGrid, default_core_mapping
 from repro.core.loggp import Platform
+from repro.core.xp import SCALAR
 from repro.util.caching import call_with_unhashable_fallback, register_cache_clearer
 
 __all__ = [
@@ -164,14 +165,25 @@ def contention_penalty(
     core_mapping: CoreMapping | None = None,
 ) -> ContentionPenalty:
     """Per-tile contention penalties for the stack-processing phase (Table 6)."""
-    mapping = resolve_core_mapping(platform, core_mapping)
+    return _contention_penalty(
+        platform,
+        resolve_core_mapping(platform, core_mapping),
+        spec.message_size_ew(grid),
+        spec.message_size_ns(grid),
+    )
+
+
+def _contention_penalty(
+    platform: Platform, mapping: CoreMapping, ew_bytes, ns_bytes
+) -> ContentionPenalty:
+    """:func:`contention_penalty` for message sizes (floats or columns)."""
     cores_per_bus = max(
         1, mapping.cores_per_node // platform.node.buses_per_node
     )
     if cores_per_bus <= 1 or platform.on_chip is None:
         return ContentionPenalty()
-    i_ew = interference_term(platform, spec.message_size_ew(grid))
-    i_ns = interference_term(platform, spec.message_size_ns(grid))
+    i_ew = interference_term(platform, ew_bytes)
+    i_ns = interference_term(platform, ns_bytes)
     if cores_per_bus == 2:
         # Dual-core (1x2 rectangle): interference on the north/south pair only.
         return ContentionPenalty(send_south=i_ns, receive_north=i_ns)
@@ -217,33 +229,49 @@ def fill_step_costs(
     sub-model.  For a single-core-per-node platform everything is off-node
     and the costs are position independent.
     """
-    mapping = resolve_core_mapping(platform, core_mapping)
-    ew_bytes = spec.message_size_ew(grid)
-    ns_bytes = spec.message_size_ns(grid)
-
-    multicore = platform.is_multicore and mapping.cores_per_node > 1
-    if not multicore:
-        costs_ew = CommunicationCosts.for_message(platform, ew_bytes, level="machine")
-        costs_ns = CommunicationCosts.for_message(platform, ns_bytes, level="machine")
-        return FillStepCosts(
-            total_comm_east=costs_ew.total,
-            receive_north=costs_ns.receive,
-            send_east=costs_ew.send,
-            total_comm_south=costs_ns.total,
-        )
-
-    def ew_costs(level: str) -> CommunicationCosts:
-        return CommunicationCosts.for_message(platform, ew_bytes, level=level)
-
-    def ns_costs(level: str) -> CommunicationCosts:
-        return CommunicationCosts.for_message(platform, ns_bytes, level=level)
-
     return FillStepCosts(
-        total_comm_east=ew_costs(mapping.comm_from_west_level(i, j)).total,
-        receive_north=ns_costs(mapping.receive_north_level(i, j)).receive,
-        send_east=ew_costs(mapping.send_east_level(i, j)).send,
-        total_comm_south=ns_costs(mapping.send_south_level(i, j)).total,
+        *_fill_step(
+            SCALAR,
+            platform,
+            resolve_core_mapping(platform, core_mapping),
+            i,
+            j,
+            spec.message_size_ew(grid),
+            spec.message_size_ns(grid),
+        )
     )
+
+
+def _fill_step(
+    xp, platform: Platform, mapping: CoreMapping, i: int, j: int, ew_bytes, ns_bytes
+) -> tuple:
+    """``(TotalCommE, ReceiveN, SendE, TotalCommS)`` at ``(i, j)``; see
+    :func:`fill_step_costs`."""
+    return (
+        _message_cost(xp, platform, mapping.comm_from_west_level(i, j), ew_bytes, "total"),
+        _message_cost(xp, platform, mapping.receive_north_level(i, j), ns_bytes, "receive"),
+        _message_cost(xp, platform, mapping.send_east_level(i, j), ew_bytes, "send"),
+        _message_cost(xp, platform, mapping.send_south_level(i, j), ns_bytes, "total"),
+    )
+
+
+def _fill_step_table(
+    xp, platform: Platform, mapping: CoreMapping, ew_bytes, ns_bytes
+) -> list:
+    """The :func:`fill_step_costs` tuples of every residue class of the grid.
+
+    Indexed ``[i % Cx][j % Cy]`` (1-based grid coordinates): the Table 6
+    hop classification depends only on those residues, so the cost field of
+    the ``StartP`` recurrence repeats with the node's core rectangle.  On
+    single-core platforms the table is one off-node entry.
+    """
+    # Each class is priced at its representative 1-based position.
+    columns = [im if im >= 1 else mapping.cx for im in range(mapping.cx)]
+    rows = [jm if jm >= 1 else mapping.cy for jm in range(mapping.cy)]
+    return [
+        [_fill_step(xp, platform, mapping, i, j, ew_bytes, ns_bytes) for j in rows]
+        for i in columns
+    ]
 
 
 @dataclass(frozen=True)
@@ -280,15 +308,23 @@ def stack_comm_costs(
     core_mapping: CoreMapping | None = None,
 ) -> StackCommCosts:
     """The equation (r4) communication costs, with Table 6 contention."""
-    ew_bytes = spec.message_size_ew(grid)
-    ns_bytes = spec.message_size_ns(grid)
-    costs_ew = CommunicationCosts.for_message(platform, ew_bytes, on_chip=False)
-    costs_ns = CommunicationCosts.for_message(platform, ns_bytes, on_chip=False)
-    contention = contention_penalty(platform, spec, grid, core_mapping)
+    return _stack_comm_costs(
+        SCALAR,
+        platform,
+        resolve_core_mapping(platform, core_mapping),
+        spec.message_size_ew(grid),
+        spec.message_size_ns(grid),
+    )
+
+
+def _stack_comm_costs(
+    xp, platform: Platform, mapping: CoreMapping, ew_bytes, ns_bytes
+) -> StackCommCosts:
+    """:func:`stack_comm_costs` for message sizes; on columns every field is one."""
     return StackCommCosts(
-        receive_west=costs_ew.receive,
-        receive_north=costs_ns.receive,
-        send_east=costs_ew.send,
-        send_south=costs_ns.send,
-        contention=contention,
+        receive_west=_message_cost(xp, platform, "machine", ew_bytes, "receive"),
+        receive_north=_message_cost(xp, platform, "machine", ns_bytes, "receive"),
+        send_east=_message_cost(xp, platform, "machine", ew_bytes, "send"),
+        send_south=_message_cost(xp, platform, "machine", ns_bytes, "send"),
+        contention=_contention_penalty(platform, mapping, ew_bytes, ns_bytes),
     )

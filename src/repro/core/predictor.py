@@ -221,9 +221,9 @@ def clear_prediction_cache() -> None:
     """Drop every prediction-related memo in the process.
 
     Clears the :func:`predict` memo *and* every cache registered through
-    :func:`repro.util.caching.register_cache_clearer` - the communication-
-    cost memo (:func:`repro.core.comm.clear_comm_cost_cache`) and, when the
-    backend layer has been imported, the simulator-result memo
+    :func:`repro.util.caching.register_cache_clearer` - the decomposition
+    and core-mapping memos and, when the backend layer has been imported,
+    the simulator-result memo
     (:func:`repro.backends.simulator.clear_simulation_cache`).  After this
     call every backend re-evaluates from scratch, which is the invalidation
     contract ``tests/test_conformance.py`` pins down.

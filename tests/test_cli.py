@@ -82,6 +82,7 @@ class TestCommands:
         assert "error (%)" in out
 
     def test_workrate_measures_kernels(self, capsys):
+        pytest.importorskip("numpy")
         assert main(["workrate", "--cells", "4", "--repetitions", "1"]) == 0
         out = capsys.readouterr().out
         assert "transport-sweep" in out
