@@ -220,11 +220,14 @@ def _evaluate_group(
     grids = [config[2] for config in configs]
     n = np.array([grid.n for grid in grids])
     m = np.array([grid.m for grid in grids])
-    pairs = list(zip(specs, grids))
-    w = _stretch(platform, np.array([s.work_per_tile(g, platform) for s, g in pairs]))
-    wpre = _stretch(platform, np.array([s.pre_work_per_tile(g, platform) for s, g in pairs]))
-    ew = np.array([s.message_size_ew(g) for s, g in pairs])
-    ns = np.array([s.message_size_ns(g) for s, g in pairs])
+    w = _stretch(
+        platform, np.array([s.work_per_tile(g, platform) for s, g in zip(specs, grids)])
+    )
+    wpre = _stretch(
+        platform, np.array([s.pre_work_per_tile(g, platform) for s, g in zip(specs, grids)])
+    )
+    ew = np.array([s.message_size_ew(g) for s, g in zip(specs, grids)])
+    ns = np.array([s.message_size_ns(g) for s, g in zip(specs, grids)])
     # Spec-only quantities once per spec; id keys are safe because
     # `configs` keeps every spec alive.
     per_spec: Dict[int, Tuple[float, int, int, int]] = {}
