@@ -11,29 +11,34 @@ benchmark records the speedup on a 10,000-point grid and asserts the
 backend contract:
 
 * ``analytic-vec`` and ``analytic-fast`` agree within 1e-9 (absolute, in
-  µs; the two paths are in fact bit-identical), and
-* ``analytic-vec`` is at least 10x faster on the full grid.
+  µs; the two paths are in fact bit-identical),
+* ``analytic-vec`` is at least 10x faster on the full grid, and
+* ``analytic-vec`` is never slower than per-point pricing on a matrix of
+  many distinct small grids, whose walks mostly hold one point each (the
+  case the float crossover in :mod:`repro.core.model_vec` exists for).
 
 Each backend's time is the best of ``ROUNDS`` cold rounds (memos cleared
 and garbage collected before every round, the two backends alternating),
 so one slow round on a shared host cannot sink the ratio.  Under
 ``pytest --update-bench`` a machine-readable record is written to
 ``BENCH_vec.json`` so downstream tooling can track the speedup across
-revisions (guarded by ``tests/test_bench_records.py``).
+revisions (guarded by ``tests/test_bench_records.py``); each case rewrites
+only its own keys of the record.
 """
 
 from __future__ import annotations
 
 import gc
+import json
 import time
 from pathlib import Path
 
 from conftest import emit, write_record
 
-from repro.apps.workloads import chimaera_240cubed
+from repro.apps.workloads import chimaera_240cubed, lu_class
 from repro.backends import PredictionRequest, predict_many
 from repro.core.predictor import clear_prediction_cache
-from repro.platforms import cray_xt4_quad_chip
+from repro.platforms import cray_xt4, cray_xt4_quad_chip
 from repro.util.tables import Table
 
 #: 1000 htile values x 10 machine sizes = a 10,000-point design matrix.
@@ -46,6 +51,11 @@ MIN_SPEEDUP = 10.0
 #: Cold rounds per backend; each backend's time is its best round.
 ROUNDS = 5
 RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_vec.json"
+#: LU class A on cray-xt4 over 256 even core counts: 173 of the grids refuse
+#: the period fold, so most fill walks hold a single point.
+SMALL_GRID_CORES = range(16, 528, 2)
+#: Cold rounds per backend on the small-grid matrix (each takes milliseconds).
+SMALL_GRID_ROUNDS = 11
 
 
 def _design_matrix(platform):
@@ -69,20 +79,32 @@ def _time_backend(requests, backend: str) -> tuple[float, list]:
     return time.perf_counter() - start, results
 
 
-def test_vec_backend_speedup_10k_grid(benchmark, update_bench):
-    platform = cray_xt4_quad_chip()
-    requests = _design_matrix(platform)
+def _best_rounds(requests, rounds: int):
+    """Best cold time of each backend over alternating rounds, and the
+    largest |vec - fast| per-iteration deviation."""
     fast_s = vec_s = float("inf")
-    for _ in range(ROUNDS):
+    for _ in range(rounds):
         seconds, fast = _time_backend(requests, "analytic-fast")
         fast_s = min(fast_s, seconds)
         seconds, vec = _time_backend(requests, "analytic-vec")
         vec_s = min(vec_s, seconds)
-
-    max_abs_deviation = max(
-        abs(a.time_per_iteration_us - b.time_per_iteration_us)
-        for a, b in zip(fast, vec)
+    deviation = max(
+        abs(a.time_per_iteration_us - b.time_per_iteration_us) for a, b in zip(fast, vec)
     )
+    return fast_s, vec_s, deviation
+
+
+def _update_record(fields: dict, update_bench: bool) -> None:
+    """Merge ``fields`` into the committed record, keeping the other case's keys."""
+    record = json.loads(RECORD_PATH.read_text()) if RECORD_PATH.exists() else {}
+    record.update(fields)
+    write_record(RECORD_PATH, record, update_bench)
+
+
+def test_vec_backend_speedup_10k_grid(benchmark, update_bench):
+    platform = cray_xt4_quad_chip()
+    requests = _design_matrix(platform)
+    fast_s, vec_s, max_abs_deviation = _best_rounds(requests, ROUNDS)
     speedup = fast_s / vec_s
 
     table = Table(
@@ -117,7 +139,7 @@ def test_vec_backend_speedup_10k_grid(benchmark, update_bench):
         "contract_min_speedup": MIN_SPEEDUP,
         "contract_abs_tol_us": ABS_TOL,
     }
-    write_record(RECORD_PATH, record, update_bench)
+    _update_record(record, update_bench)
 
     # Steady-state vec timing (memo cleared each round) for the regression
     # record.
@@ -126,3 +148,43 @@ def test_vec_backend_speedup_10k_grid(benchmark, update_bench):
         return predict_many(requests, backend="analytic-vec")
 
     benchmark(_vec_round)
+
+
+def test_vec_no_slower_on_many_small_grids(update_bench):
+    platform = cray_xt4()
+    requests = [
+        PredictionRequest(lu_class("A"), platform, total_cores=cores)
+        for cores in SMALL_GRID_CORES
+    ]
+    fast_s, vec_s, max_abs_deviation = _best_rounds(requests, SMALL_GRID_ROUNDS)
+
+    table = Table(
+        ["backend", "wall (ms)"],
+        title=f"{len(requests)} distinct small grids of lu-classA on {platform.name}",
+    )
+    table.add_row("analytic-fast", round(1e3 * fast_s, 2))
+    table.add_row("analytic-vec", round(1e3 * vec_s, 2))
+    emit(table.render())
+
+    assert max_abs_deviation <= ABS_TOL
+    assert vec_s <= fast_s, (
+        f"analytic-vec ({1e3 * vec_s:.2f} ms) is slower than per-point "
+        f"analytic-fast ({1e3 * fast_s:.2f} ms) on many small grids"
+    )
+    _update_record(
+        {
+            "many_small_grids": {
+                "application": "lu-classA",
+                "platform": platform.name,
+                "points": len(requests),
+                "cores_first": SMALL_GRID_CORES[0],
+                "cores_last": SMALL_GRID_CORES[-1],
+                "cores_step": SMALL_GRID_CORES.step,
+                "analytic_fast_s": fast_s,
+                "analytic_vec_s": vec_s,
+                "rounds": SMALL_GRID_ROUNDS,
+                "max_abs_deviation_us": max_abs_deviation,
+            }
+        },
+        update_bench,
+    )

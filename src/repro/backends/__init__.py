@@ -77,7 +77,7 @@ from repro.backends.simulator import (
     clear_simulation_cache,
     simulation_cache_info,
 )
-from repro.backends.vectorized import VectorizedAnalyticBackend, clear_vectorized_cache
+from repro.backends.vectorized import VectorizedAnalyticBackend
 
 __all__ = [
     "AnalyticBackend",
@@ -91,7 +91,6 @@ __all__ = [
     "as_request",
     "available_backends",
     "clear_simulation_cache",
-    "clear_vectorized_cache",
     "get_backend",
     "predict_many",
     "predict_one",

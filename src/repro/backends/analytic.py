@@ -29,6 +29,7 @@ from repro.backends.base import BackendResult
 from repro.core.decomposition import CoreMapping, ProcessorGrid
 from repro.core.loggp import Platform
 from repro.core.model import FILL_METHODS
+from repro.core.model_vec import PointValues, point_values
 from repro.core.predictor import Prediction, predict
 
 __all__ = ["AnalyticBackend"]
@@ -72,26 +73,41 @@ class AnalyticBackend:
         prediction = predict(
             spec, platform, grid=grid, core_mapping=core_mapping, method=self.method
         )
-        return self._wrap(prediction)
+        config = (prediction.spec, prediction.platform, prediction.grid, prediction.core_mapping)
+        return _wrap(self.name, config, point_values(prediction.iteration), prediction)
 
-    def _wrap(self, prediction: Prediction) -> BackendResult:
-        iteration = prediction.iteration
-        phases = (
-            ("pipeline_fill", iteration.pipeline_fill_time),
-            ("stack", iteration.nsweeps * iteration.stack.total),
-            ("nonwavefront", iteration.tnonwavefront),
-        )
-        if iteration.trework != 0.0:  # repro: noqa[RPR004] fault-free predictions carry exactly 0.0 and keep the three-phase breakdown
-            phases = phases + (("rework", iteration.trework),)
-        return BackendResult(
-            backend=self.name,
-            spec=prediction.spec,
-            platform=prediction.platform,
-            grid=prediction.grid,
-            core_mapping=prediction.core_mapping,
-            time_per_iteration_us=iteration.time_per_iteration,
-            computation_per_iteration_us=iteration.computation_per_iteration,
-            pipeline_fill_per_iteration_us=iteration.pipeline_fill_time,
-            phases=phases,
-            prediction=prediction,
-        )
+
+def _wrap(
+    name: str,
+    config: tuple,
+    point: PointValues,
+    prediction: Optional[Prediction] = None,
+) -> BackendResult:
+    """One point's model values as a :class:`BackendResult`.
+
+    ``config`` is the resolved ``(spec, platform, grid, core_mapping)``.
+    Shared by both analytic backends (``analytic-vec`` passes no
+    ``prediction`` detail object), so their results are shaped alike.
+    """
+    spec, platform, grid, mapping = config
+    phases = (
+        ("pipeline_fill", point.pipeline_fill),
+        ("stack", point.stack_phase),
+        ("nonwavefront", point.nonwavefront_phase),
+    )
+    if point.rework != 0.0:  # repro: noqa[RPR004] fault-free points carry exactly 0.0 and keep the three-phase breakdown
+        phases = phases + (("rework", point.rework),)
+    # Positional arguments (the field order of BackendResult): keyword
+    # passing measurably slows the per-point wrap of large batches.
+    return BackendResult(
+        name,
+        spec,
+        platform,
+        grid,
+        mapping,
+        point.time_per_iteration,
+        point.computation_per_iteration,
+        point.pipeline_fill,
+        phases,
+        prediction,
+    )

@@ -21,7 +21,6 @@ homogeneous configurations (``engine="auto"``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 from repro.apps.base import WavefrontSpec
@@ -34,7 +33,7 @@ from repro.simulator.wavefront import (
     WavefrontSimulationResult,
     simulate_wavefront,
 )
-from repro.util.caching import call_with_unhashable_fallback, register_cache_clearer
+from repro.util.caching import memoised
 
 __all__ = [
     "SimulatorBackend",
@@ -99,9 +98,7 @@ class SimulatorBackend:
         grid: ProcessorGrid,
         core_mapping: Optional[CoreMapping] = None,
     ) -> BackendResult:
-        simulation = call_with_unhashable_fallback(
-            _simulate_cached, _simulate_uncached, self, spec, platform, grid, core_mapping
-        )
+        simulation = _simulate(self, spec, platform, grid, core_mapping)
         return self._wrap(spec, platform, simulation)
 
     def _wrap(
@@ -138,7 +135,11 @@ class SimulatorBackend:
         )
 
 
-def _simulate_uncached(
+# A simulation result holds O(ranks) per-rank statistics (megabytes at 4096+
+# cores), so the memo is kept small: it exists to make repeated matrix
+# entries free within a study, not to retain whole sweeps indefinitely.
+@memoised(maxsize=32)
+def _simulate(
     backend: SimulatorBackend,
     spec: WavefrontSpec,
     platform: Platform,
@@ -163,25 +164,18 @@ def _simulate_uncached(
     )
 
 
-# A simulation result holds O(ranks) per-rank statistics (megabytes at 4096+
-# cores), so the memo is kept small: it exists to make repeated matrix
-# entries free within a study, not to retain whole sweeps indefinitely.
-_simulate_cached = lru_cache(maxsize=32)(_simulate_uncached)
-
-
-@register_cache_clearer
 def clear_simulation_cache() -> None:
     """Drop all memoised simulator-backend results.
 
-    Also registered with :mod:`repro.util.caching`, so the library-wide
-    :func:`repro.core.predictor.clear_prediction_cache` clears this memo
-    too.
+    The memo is declared with :func:`repro.util.caching.memoised`, so the
+    library-wide :func:`repro.core.predictor.clear_prediction_cache`
+    clears it too.
 
     >>> clear_simulation_cache()
     >>> simulation_cache_info().currsize
     0
     """
-    _simulate_cached.cache_clear()
+    _simulate.cache_clear()
 
 
 def simulation_cache_info():
@@ -191,4 +185,4 @@ def simulation_cache_info():
     >>> info.hits >= 0 and info.maxsize == 32
     True
     """
-    return _simulate_cached.cache_info()
+    return _simulate.cache_info()

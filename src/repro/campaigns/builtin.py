@@ -35,16 +35,16 @@ own:
 from __future__ import annotations
 
 import json
-from functools import lru_cache
 from importlib.resources import files
 
 from repro.campaigns.spec import CampaignSpec
+from repro.util.caching import memoised
 
 __all__ = ["builtin_campaigns", "get_campaign"]
 
 
-@lru_cache(maxsize=1)
-def _load_builtins() -> dict[str, CampaignSpec]:  # repro: noqa[RPR002] static packaged-data registry, immutable for the process lifetime
+@memoised(maxsize=1)
+def _load_builtins() -> dict[str, CampaignSpec]:
     data_dir = files("repro.campaigns") / "data"
     campaigns: dict[str, CampaignSpec] = {}
     for entry in sorted(data_dir.iterdir(), key=lambda e: e.name):

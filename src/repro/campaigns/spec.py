@@ -29,7 +29,6 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence, Tuple, TypeVar, Union
 
@@ -46,7 +45,7 @@ from repro.platforms import (
     parse_placement,
     parse_speed_profile,
 )
-from repro.util.caching import register_cache_clearer
+from repro.util.caching import memoised
 
 __all__ = [
     "CampaignPoint",
@@ -133,7 +132,7 @@ def partition_points(
 # objects keeps million-point expansion cheap *and* maximises request dedup
 # in the backend service (shared frozen instances hash once - see
 # repro.util.caching.cached_field_hash).
-@lru_cache(maxsize=1024)
+@memoised(maxsize=1024)
 def _build_workload(app: str, htile: Optional[float]) -> WavefrontSpec:
     registry = standard_workloads()
     try:
@@ -146,7 +145,7 @@ def _build_workload(app: str, htile: Optional[float]) -> WavefrontSpec:
     return spec
 
 
-@lru_cache(maxsize=1024)
+@memoised(maxsize=1024)
 def _build_platform(
     platform: str,
     speed_profile: Optional[str],
@@ -164,13 +163,6 @@ def _build_platform(
     if faults is not None:
         built = built.with_faults(faults)
     return built
-
-
-@register_cache_clearer
-def clear_point_build_cache() -> None:
-    """Drop the memoised workload/platform value objects for campaign points."""
-    _build_workload.cache_clear()
-    _build_platform.cache_clear()
 
 
 @dataclass(frozen=True)

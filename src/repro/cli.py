@@ -36,14 +36,13 @@ from typing import Callable, Sequence
 
 from repro.analysis.htile import htile_study
 from repro.analysis.scaling import strong_scaling
-from repro.apps.sweep3d import Sweep3DConfig
 from repro.apps.workloads import standard_workloads
 from repro.backends.registry import available_backends
 from repro.backends.service import predict_one
 from repro.campaigns.builtin import builtin_campaigns, get_campaign
 from repro.campaigns.report import campaign_report, write_report
 from repro.campaigns.runner import CampaignRunner
-from repro.campaigns.spec import load_campaign_file
+from repro.campaigns.spec import apply_htile, load_campaign_file
 from repro.campaigns.store import ResultStore, default_store_path
 from repro.calibration.fitting import derive_platform_parameters
 from repro.core.faults import FaultModel
@@ -217,19 +216,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _htile_builder(base, htile: float):
-    """Module-level builder so the htile sweep can use a process pool."""
-    if base.name == "sweep3d":
-        config = Sweep3DConfig.for_htile(htile)
-        return base.with_htile(config.htile)
-    return base.with_htile(htile)
-
-
 def _cmd_htile(args: argparse.Namespace) -> int:
     base = _workload(args.app)
     platform = get_platform(args.platform)
     study = htile_study(
-        partial(_htile_builder, base),
+        partial(apply_htile, base),
         platform,
         args.cores,
         args.values,

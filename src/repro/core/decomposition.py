@@ -25,17 +25,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Iterator, Optional, Tuple
 
-from repro.util.caching import register_cache_clearer
+from repro.util.caching import memoised
 
 __all__ = [
     "ProblemSize",
     "ProcessorGrid",
     "CoreMapping",
     "Corner",
-    "clear_decomposition_cache",
     "decompose",
     "default_core_mapping",
 ]
@@ -337,28 +335,7 @@ class CoreMapping:
         return "machine"
 
 
-def _decompose_uncached(total_processors: int) -> ProcessorGrid:
-    if total_processors < 1:
-        raise ValueError("total_processors must be positive")
-    best: Tuple[int, int] | None = None
-    for m in range(int(math.isqrt(total_processors)), 0, -1):
-        if total_processors % m == 0:
-            best = (total_processors // m, m)
-            break
-    assert best is not None
-    n, m = best
-    return ProcessorGrid(n=n, m=m)
-
-
-_decompose_cached = lru_cache(maxsize=4096)(_decompose_uncached)
-
-
-@register_cache_clearer
-def clear_decomposition_cache() -> None:
-    """Drop all memoised :func:`decompose` factorisations."""
-    _decompose_cached.cache_clear()
-
-
+@memoised(maxsize=4096)
 def decompose(total_processors: int) -> ProcessorGrid:
     """Choose a near-square ``n x m`` factorisation of ``total_processors``.
 
@@ -369,7 +346,16 @@ def decompose(total_processors: int) -> ProcessorGrid:
     (:class:`ProcessorGrid` is immutable); design-matrix batches repeat a
     handful of processor counts thousands of times.
     """
-    return _decompose_cached(total_processors)
+    if total_processors < 1:
+        raise ValueError("total_processors must be positive")
+    best: Tuple[int, int] | None = None
+    for m in range(int(math.isqrt(total_processors)), 0, -1):
+        if total_processors % m == 0:
+            best = (total_processors // m, m)
+            break
+    assert best is not None
+    n, m = best
+    return ProcessorGrid(n=n, m=m)
 
 
 def default_core_mapping(cores_per_node: int) -> CoreMapping:

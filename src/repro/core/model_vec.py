@@ -45,6 +45,10 @@ On columns:
 
 Per point, through the scalar model's own functions:
 
+* ``(platform, mapping)`` groups, and fold walks, of fewer than
+  ``_COLUMN_CROSSOVER`` points: numpy's per-call overhead would outweigh
+  the batching (matrices of many distinct small grids, most of which the
+  fold refuses, are made of such walks);
 * grid points whose fold linearity check fails (rare; the exact walk);
 * the expected-rework correction of fault-model platforms (its guard
   raises per point);
@@ -76,6 +80,7 @@ from repro.core.comm import _allreduce
 from repro.core.decomposition import CoreMapping, ProcessorGrid
 from repro.core.loggp import Platform
 from repro.core.model import (
+    IterationPrediction,
     _fill_plan,
     _fill_totals,
     _heterogeneity_sums,
@@ -91,6 +96,7 @@ from repro.core.model import (
 )
 from repro.core.multicore import _fill_step_table, _stack_comm_costs
 from repro.core.xp import SCALAR
+from repro.util.caching import memoised
 
 try:
     import numpy as _np
@@ -101,8 +107,8 @@ __all__ = [
     "PointValues",
     "batch_point_values",
     "have_numpy",
+    "point_values",
     "warn_on_fallback",
-    "reset_fallback_warning",
 ]
 
 _LOGGER = logging.getLogger(__name__)
@@ -110,35 +116,34 @@ _LOGGER = logging.getLogger(__name__)
 #: One resolved configuration: what ``PredictionRequest.resolve()`` returns.
 _Config = Tuple[WavefrontSpec, Platform, ProcessorGrid, CoreMapping]
 
+#: Groups and fold walks with fewer points than this are priced on floats.
+#: Basis: LU class A on cray-xt4 over 1-256 of the even core counts 16-526
+#: (173 of the 256 grids refuse the fold, so most walks hold one point),
+#: best of 11 cold runs on a 2-vCPU VM with numpy 2.4.  With no crossover
+#: analytic-vec took 2.3-8.3x analytic-fast's time; every crossover from 4
+#: to 32 gave at most 1.16x at 1-16 points and 0.58-0.72x at 64-256.
+_COLUMN_CROSSOVER = 16
+
 
 def have_numpy() -> bool:
     """True when batches run on numpy columns (vs the per-point fallback)."""
     return _np is not None
 
 
-_fallback_warned = False
-
-
+@memoised(maxsize=1)
 def warn_on_fallback() -> None:
-    """Log once per process when batches run on the pure-stdlib path.
+    """Log that batches run on the pure-stdlib path, once per cache clear.
 
-    The stdlib fallback produces identical results but is much slower, so
-    benchmark numbers taken on it are not comparable with numpy runs; the
-    warning keeps that visible (see the README's optional-numpy section).
+    Call it only when :func:`have_numpy` is false.  The stdlib fallback
+    produces identical results but is much slower, so benchmark numbers
+    taken on it are not comparable with numpy runs; the warning keeps that
+    visible (see the README's optional-numpy section).  Being a memo, it
+    fires again after :func:`repro.core.predictor.clear_prediction_cache`.
     """
-    global _fallback_warned
-    if _np is None and not _fallback_warned:
-        _fallback_warned = True
-        _LOGGER.warning(
-            "numpy is not importable; analytic-vec is evaluating batches on "
-            "the pure-stdlib fallback path (identical results, much slower)"
-        )
-
-
-def reset_fallback_warning() -> None:
-    """Re-arm :func:`warn_on_fallback` (used by the cache-clearing contract)."""
-    global _fallback_warned
-    _fallback_warned = False
+    _LOGGER.warning(
+        "numpy is not importable; analytic-vec is evaluating batches on "
+        "the pure-stdlib fallback path (identical results, much slower)"
+    )
 
 
 class PointValues(NamedTuple):
@@ -160,18 +165,22 @@ class PointValues(NamedTuple):
     rework: float = 0.0
 
 
+def point_values(iteration: IterationPrediction) -> PointValues:
+    """The :class:`PointValues` of one scalar-model prediction."""
+    return PointValues(
+        iteration.time_per_iteration,
+        iteration.computation_per_iteration,
+        iteration.pipeline_fill_time,
+        iteration.nsweeps * iteration.stack.total,
+        iteration.tnonwavefront,
+        iteration.trework,
+    )
+
+
 def _scalar_point(config: _Config) -> PointValues:
     """One point through the scalar model."""
     spec, platform, grid, mapping = config
-    iteration = iteration_prediction(spec, platform, grid, mapping, method="fast")
-    return PointValues(
-        time_per_iteration=iteration.time_per_iteration,
-        computation_per_iteration=iteration.computation_per_iteration,
-        pipeline_fill=iteration.pipeline_fill_time,
-        stack_phase=iteration.nsweeps * iteration.stack.total,
-        nonwavefront_phase=iteration.tnonwavefront,
-        rework=iteration.trework,
-    )
+    return point_values(iteration_prediction(spec, platform, grid, mapping, method="fast"))
 
 
 def batch_point_values(configs: Sequence[_Config]) -> List[PointValues]:
@@ -200,9 +209,11 @@ def batch_point_values(configs: Sequence[_Config]) -> List[PointValues]:
             for index in indices:
                 results[index] = _scalar_point(configs[index])
     for (platform, mapping), indices in groups.items():
-        group_results = _evaluate_group(
-            platform, mapping, [configs[i] for i in indices]
-        )
+        group = [configs[i] for i in indices]
+        if len(group) < _COLUMN_CROSSOVER:
+            group_results = [_scalar_point(config) for config in group]
+        else:
+            group_results = _evaluate_group(platform, mapping, group)
         for index, point in zip(indices, group_results):
             results[index] = point
     return results
@@ -294,7 +305,8 @@ def _fill_corners(platform, mapping, n, m, w, wpre, ew, ns):
     Multi-core points are grouped by the walk :func:`repro.core.model
     ._fill_plan` gives them: grids that fold onto the same small grid share
     one walk, grids the fold refuses keep one exact walk per shape.  Each
-    distinct shape is planned once.
+    distinct shape is planned once, and a walk shared by fewer than
+    ``_COLUMN_CROSSOVER`` points is run on floats, point by point.
     """
     np = _np
     if mapping.cores_per_node == 1:
@@ -311,8 +323,26 @@ def _fill_corners(platform, mapping, n, m, w, wpre, ew, ns):
 
     tdiag = np.empty(len(n_list))
     tfull = np.empty(len(n_list))
+
+    def on_floats(index, walk, kx, ky, counts):
+        """One point priced as the scalar fast path prices it: the planned
+        walk, then the exact walk if the fold check fails."""
+        w_i, wpre_i = float(w[index]), float(wpre[index])
+        table = _fill_step_table(SCALAR, platform, mapping, float(ew[index]), float(ns[index]))
+        tdiag_i, tfull_i, bad = _startp_corners(SCALAR, walk, kx, ky, counts, w_i, wpre_i, table)
+        if bad:
+            exact = (n_list[index], m_list[index], False, False)
+            tdiag_i, tfull_i, _bad = _startp_corners(SCALAR, exact, 0, 0, (), w_i, wpre_i, table)
+        tdiag[index], tfull[index] = tdiag_i, tfull_i
+
     for walk, members in walks.items():
-        rows = np.array([index for indices, _plan in members for index in indices])
+        rows = [index for indices, _plan in members for index in indices]
+        if len(rows) < _COLUMN_CROSSOVER:
+            for indices, (kx, ky, *counts) in members:
+                for index in indices:
+                    on_floats(index, walk, kx, ky, counts)
+            continue
+        rows = np.array(rows)
         sizes = [len(indices) for indices, _plan in members]
         kx, ky, *counts = (
             np.repeat(values, sizes) for values in zip(*(plan for _indices, plan in members))
@@ -322,15 +352,8 @@ def _fill_corners(platform, mapping, n, m, w, wpre, ew, ns):
             np, walk, kx, ky, counts, w[rows], wpre[rows], table
         )
         for index in rows[np.flatnonzero(bad)].tolist():
-            # Rare: this point's fold linearity check failed; walk its grid
-            # exactly, as the scalar fast path would.
-            point_table = _fill_step_table(
-                SCALAR, platform, mapping, float(ew[index]), float(ns[index])
-            )
-            tdiag[index], tfull[index], _bad = _startp_corners(
-                SCALAR, (n_list[index], m_list[index], False, False), 0, 0, (),
-                float(w[index]), float(wpre[index]), point_table,
-            )
+            # Rare: this point's fold linearity check failed.
+            on_floats(index, (n_list[index], m_list[index], False, False), 0, 0, ())
     return tdiag, tfull
 
 

@@ -37,20 +37,18 @@ adjusted costs used in the stack-processing time (equation (r4)).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from repro.apps.base import WavefrontSpec
 from repro.core.comm import _message_cost
 from repro.core.decomposition import CoreMapping, ProcessorGrid, default_core_mapping
 from repro.core.loggp import Platform
 from repro.core.xp import SCALAR
-from repro.util.caching import call_with_unhashable_fallback, register_cache_clearer
+from repro.util.caching import memoised
 
 __all__ = [
     "ContentionPenalty",
     "FillStepCosts",
     "StackCommCosts",
-    "clear_core_mapping_cache",
     "interference_term",
     "contention_penalty",
     "fill_step_costs",
@@ -85,6 +83,7 @@ def _chip_rectangle(mapping: CoreMapping, cores_per_chip: int) -> CoreMapping:
     return mapping.with_chip(best[0], best[1])
 
 
+@memoised(maxsize=4096)
 def resolve_core_mapping(platform: Platform, core_mapping: CoreMapping | None) -> CoreMapping:
     """The core rectangle to use: the caller's, or the paper's default for
     the platform's ``cores_per_node``.
@@ -94,18 +93,9 @@ def resolve_core_mapping(platform: Platform, core_mapping: CoreMapping | None) -
     consumer - analytic cost tables, the simulator's rank placement -
     classifies hops identically.  An explicit mapping that already pins a
     chip rectangle is passed through untouched.  Resolutions are memoised
-    (both inputs are immutable value objects); unhashable subclasses fall
-    back to the uncached computation.
+    (both inputs are immutable value objects); unhashable subclasses are
+    resolved uncached.
     """
-    return call_with_unhashable_fallback(
-        _resolve_core_mapping_cached, _resolve_core_mapping_uncached,
-        platform, core_mapping,
-    )
-
-
-def _resolve_core_mapping_uncached(
-    platform: Platform, core_mapping: CoreMapping | None
-) -> CoreMapping:
     if core_mapping is not None:
         if core_mapping.cores_per_node != platform.node.cores_per_node:
             raise ValueError(
@@ -123,15 +113,6 @@ def _resolve_core_mapping_uncached(
     ):
         mapping = _chip_rectangle(mapping, cores_per_chip)
     return mapping
-
-
-_resolve_core_mapping_cached = lru_cache(maxsize=4096)(_resolve_core_mapping_uncached)
-
-
-@register_cache_clearer
-def clear_core_mapping_cache() -> None:
-    """Drop all memoised :func:`resolve_core_mapping` resolutions."""
-    _resolve_core_mapping_cached.cache_clear()
 
 
 def interference_term(platform: Platform, message_bytes: float) -> float:

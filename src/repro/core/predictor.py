@@ -33,7 +33,6 @@ once.  :func:`clear_prediction_cache` resets the memo;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 from repro.apps.base import WavefrontSpec
@@ -45,7 +44,7 @@ from repro.core.model import (
     iteration_prediction,
 )
 from repro.core.multicore import resolve_core_mapping
-from repro.util.caching import call_with_unhashable_fallback, clear_registered_caches
+from repro.util.caching import clear_registered_caches, memoised
 from repro.util.units import safe_ratio, seconds_to_days, us_to_seconds
 
 __all__ = [
@@ -191,13 +190,12 @@ def predict(
         grid = decompose(total_cores)
     mapping = resolve_core_mapping(platform, core_mapping)
     # Unhashable spec/platform components (e.g. a custom non-wavefront model
-    # holding a mutable object) fall back to uncached evaluation.
-    return call_with_unhashable_fallback(
-        _predict_cached, _predict_uncached, spec, platform, grid, mapping, method
-    )
+    # holding a mutable object) are evaluated uncached.
+    return _predict(spec, platform, grid, mapping, method)
 
 
-def _predict_uncached(
+@memoised(maxsize=4096)
+def _predict(
     spec: WavefrontSpec,
     platform: Platform,
     grid: ProcessorGrid,
@@ -214,24 +212,20 @@ def _predict_uncached(
     )
 
 
-_predict_cached = lru_cache(maxsize=4096)(_predict_uncached)
-
-
 def clear_prediction_cache() -> None:
     """Drop every prediction-related memo in the process.
 
-    Clears the :func:`predict` memo *and* every cache registered through
-    :func:`repro.util.caching.register_cache_clearer` - the decomposition
-    and core-mapping memos and, when the backend layer has been imported,
-    the simulator-result memo
-    (:func:`repro.backends.simulator.clear_simulation_cache`).  After this
-    call every backend re-evaluates from scratch, which is the invalidation
-    contract ``tests/test_conformance.py`` pins down.
+    Empties every memo declared with :func:`repro.util.caching.memoised`
+    (the table :data:`repro.util.caching.MEMOS`): the :func:`predict` memo,
+    the decomposition and core-mapping memos, the campaign point builders
+    and, when the backend layer has been imported, the simulator-result
+    memo (:func:`repro.backends.simulator.clear_simulation_cache`).  After
+    this call every backend re-evaluates from scratch, which is the
+    invalidation contract ``tests/test_conformance.py`` pins down.
     """
-    _predict_cached.cache_clear()
     clear_registered_caches()
 
 
 def prediction_cache_info():
     """Hit/miss statistics of the :func:`predict` memo (``functools`` format)."""
-    return _predict_cached.cache_info()
+    return _predict.cache_info()

@@ -17,8 +17,8 @@ def dotted_name(node: ast.AST) -> Optional[str]:
     """``a.b.c`` for a Name/Attribute chain, else ``None``.
 
     >>> import ast
-    >>> dotted_name(ast.parse("functools.lru_cache", mode="eval").body)
-    'functools.lru_cache'
+    >>> dotted_name(ast.parse("functools.partial", mode="eval").body)
+    'functools.partial'
     """
     parts: List[str] = []
     while isinstance(node, ast.Attribute):

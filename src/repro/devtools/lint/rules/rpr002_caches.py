@@ -1,21 +1,19 @@
-"""RPR002 - every cache must be reachable from a registered clearer.
+"""RPR002 - every memo is declared with ``repro.util.caching.memoised``.
 
 The caching contract (PR 4 fixed a silent-staleness bug of exactly this
 class): :func:`repro.core.predictor.clear_prediction_cache` must drain
-*every* memo in the library, which works only if each module that caches
-model inputs registers a clearer with
-:func:`repro.util.caching.register_cache_clearer` (or is itself the drain
-entry point that calls ``clear_registered_caches``).
+*every* memo in the library.  It empties one table,
+:data:`repro.util.caching.MEMOS`, which :func:`~repro.util.caching.memoised`
+fills, so any other way of caching is an error outside
+``repro/util/caching.py`` itself:
 
-Three cache shapes are recognised:
-
-* ``functools.lru_cache`` / ``functools.cache`` wrapped callables
-  (decorator form or ``name = lru_cache(...)(fn)`` assignment form);
-* module-level mutable containers named ``*_cache`` / ``*_memo``;
-* instance attributes ``self.*_cache`` / ``self.*_memo`` (these cannot be
-  globally registered, so the owning class must provide its own clearing
-  method - or carry a justified suppression when the cache's lifetime is
-  bounded by construction).
+* ``functools.lru_cache`` / ``functools.cache`` (decorator form or
+  ``name = lru_cache(...)(fn)`` call form), even with a private clearer;
+* mutable containers named ``*_cache`` / ``*_memo``;
+* instance attributes ``self.*_cache`` / ``self.*_memo`` without a
+  clearing method on the owning class (they cannot join the module table,
+  so the class must provide its own ``.clear()`` - or carry a justified
+  suppression when the cache's lifetime is bounded by construction).
 """
 
 from __future__ import annotations
@@ -31,14 +29,16 @@ __all__ = ["UnclearedCacheRule"]
 
 _LRU_NAMES = {"lru_cache", "functools.lru_cache", "cache", "functools.cache"}
 _CACHE_SUFFIXES = ("_cache", "_memo")
+#: The one module allowed to build caches: it declares ``memoised``.
+_CACHING_MODULE = "repro/util/caching.py"
+_FIX = "declare it with @repro.util.caching.memoised so clear_prediction_cache() drains it"
 
 
 def _is_lru_factory(node: ast.expr) -> bool:
     """``lru_cache`` / ``lru_cache(...)`` in decorator or call position."""
     if isinstance(node, ast.Call):
         node = node.func
-    name = dotted_name(node)
-    return name in _LRU_NAMES
+    return dotted_name(node) in _LRU_NAMES
 
 
 def _is_cacheish_name(name: str) -> bool:
@@ -57,97 +57,39 @@ def _is_mutable_container(node: ast.expr) -> bool:
 class UnclearedCacheRule(ModuleRule):
     rule_id = "RPR002"
     severity = "error"
-    summary = "caches need a clearer registered with util.caching (stale-memo guard)"
+    summary = "caches must be declared with util.caching.memoised (stale-memo guard)"
 
     def check(self, module) -> Iterable[Finding]:
-        tree = module.tree
-        cached: List[Tuple[str, ast.AST]] = []  # (name, node to blame)
-
-        for node in ast.walk(tree):
+        if module.path.as_posix().endswith(_CACHING_MODULE):
+            return
+        decorators: Set[int] = set()
+        for node in ast.walk(module.tree):
+            # ast.walk is breadth-first: a function is visited before its
+            # decorators, so a decorator call is not reported twice.
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if any(_is_lru_factory(dec) for dec in node.decorator_list):
-                    cached.append((node.name, node))
-            elif isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target = node.targets[0]
-                if not isinstance(target, ast.Name):
-                    continue
-                value = node.value
-                # name = lru_cache(...)(fn)  /  name = functools.cache(fn)
-                if isinstance(value, ast.Call) and _is_lru_factory(value.func):
-                    cached.append((target.id, node))
-                elif _is_cacheish_name(target.id) and _is_mutable_container(value):
-                    cached.append((target.id, node))
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                target = node.target
-                if (
-                    isinstance(target, ast.Name)
-                    and _is_cacheish_name(target.id)
-                    and _is_mutable_container(node.value)
-                ):
-                    cached.append((target.id, node))
-
-        if cached:
-            cleared = self._cleared_names(tree)
-            for name, node in cached:
-                if name not in cleared:
-                    yield self.finding(
-                        module,
-                        node,
-                        f"cache {name!r} is not reachable from any registered "
-                        "clearer; register one with "
-                        "repro.util.caching.register_cache_clearer so "
-                        "clear_prediction_cache() drains it",
-                    )
+                for dec in node.decorator_list:
+                    if _is_lru_factory(dec):
+                        decorators.add(id(dec))
+                        yield self.finding(
+                            module, node, f"{node.name!r} is an lru_cache; {_FIX}"
+                        )
+            elif isinstance(node, ast.Call):
+                if id(node) not in decorators and dotted_name(node.func) in _LRU_NAMES:
+                    yield self.finding(module, node, f"lru_cache call; {_FIX}")
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    if (
+                        isinstance(target, ast.Name)
+                        and _is_cacheish_name(target.id)
+                        and node.value is not None
+                        and _is_mutable_container(node.value)
+                    ):
+                        yield self.finding(
+                            module, node, f"cache container {target.id!r}; {_FIX}"
+                        )
 
         yield from self._check_instance_caches(module)
-
-    # -- module-level caches -----------------------------------------------------------
-
-    def _cleared_names(self, tree: ast.Module) -> Set[str]:
-        """Names whose ``.cache_clear()``/``.clear()`` runs inside a clearer.
-
-        A *clearer* is a function decorated with (or passed to)
-        ``register_cache_clearer``, or one that calls
-        ``clear_registered_caches`` - the drain entry point itself.
-        """
-        registered_by_call: Set[str] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                name = dotted_name(node.func)
-                if name is not None and name.endswith("register_cache_clearer"):
-                    for arg in node.args:
-                        if isinstance(arg, ast.Name):
-                            registered_by_call.add(arg.id)
-
-        cleared: Set[str] = set()
-        for node in ast.walk(tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            is_clearer = node.name in registered_by_call
-            for dec in node.decorator_list:
-                dec_name = dotted_name(dec.func if isinstance(dec, ast.Call) else dec)
-                if dec_name is not None and dec_name.endswith("register_cache_clearer"):
-                    is_clearer = True
-            if not is_clearer:
-                for inner in ast.walk(node):
-                    if isinstance(inner, ast.Call):
-                        name = dotted_name(inner.func)
-                        if name is not None and name.endswith("clear_registered_caches"):
-                            is_clearer = True
-                            break
-            if not is_clearer:
-                continue
-            for inner in ast.walk(node):
-                if (
-                    isinstance(inner, ast.Call)
-                    and isinstance(inner.func, ast.Attribute)
-                    and inner.func.attr in ("cache_clear", "clear")
-                    and isinstance(inner.func.value, ast.Name)
-                ):
-                    cleared.add(inner.func.value.id)
-        return cleared
-
-    # -- instance caches ---------------------------------------------------------------
 
     def _check_instance_caches(self, module) -> Iterable[Finding]:
         for classdef in ast.walk(module.tree):

@@ -8,7 +8,7 @@ Two classic Python hazards that have no legitimate use in this library:
   cache-poisoning bug waiting to happen;
 * a bare ``except:`` swallows ``KeyboardInterrupt``/``SystemExit`` and
   masks the typed error-handling contract (``TypeError`` propagation from
-  :func:`repro.util.caching.call_with_unhashable_fallback`, fail-loud
+  :func:`repro.util.caching.memoised`, fail-loud
   ``ValueError`` in the CLI paths).
 """
 

@@ -31,6 +31,7 @@ from typing import Any, Callable, Mapping, Optional, Tuple, Union
 
 from repro.apps.base import WavefrontSpec
 from repro.backends.base import PredictionRequest
+from repro.campaigns.spec import _build_workload
 from repro.core.decomposition import ProcessorGrid
 from repro.core.loggp import Platform
 from repro.platforms import get_platform, parse_placement
@@ -121,20 +122,6 @@ def grid_for_ratio(total: int, ratio: float) -> ProcessorGrid:
         key=lambda pair: (abs(math.log(pair[0] / pair[1]) - target), -pair[0]),
     )
     return ProcessorGrid(*best)
-
-
-def _workload_spec(app: str, htile: Optional[float]) -> WavefrontSpec:
-    """Module-level builder for registry workloads (picklable via partial)."""
-    from repro.apps.workloads import standard_workloads
-    from repro.campaigns.spec import apply_htile
-
-    registry = standard_workloads()
-    try:
-        spec = registry[app]()
-    except KeyError:
-        known = ", ".join(sorted(registry))
-        raise KeyError(f"unknown application {app!r}; choose from: {known}") from None
-    return spec if htile is None else apply_htile(spec, htile)
 
 
 def _axis_tuple(values: Any, coerce) -> tuple:
@@ -321,10 +308,10 @@ class OptimizationSpace:
         campaigns do (:func:`repro.campaigns.spec.apply_htile`).  The
         builder is a picklable ``partial``, so process-pool fan-out works.
         """
-        _workload_spec(app, None)  # fail fast on unknown application names
+        _build_workload(app, None)  # fail fast on unknown application names
         resolved = get_platform(platform) if isinstance(platform, str) else platform
         return cls(
-            spec_builder=partial(_workload_spec, app), platform=resolved, **axes
+            spec_builder=partial(_build_workload, app), platform=resolved, **axes
         )
 
     @classmethod

@@ -1,24 +1,29 @@
 """Shared memoisation helpers.
 
 The prediction engine memoises on frozen value objects (platforms, specs,
-grids, core mappings).  User subclasses may be unhashable, so cache entry
-points need a graceful uncached fallback - while TypeErrors raised by the
-computation itself must still propagate unchanged (and without silently
-re-running the computation).  This helper centralises that control flow.
+grids, core mappings).  Every memo in the library is declared with
+:func:`memoised`, which appends it to one table, :data:`MEMOS`: clearing
+(:func:`clear_registered_caches`, behind
+:func:`repro.core.predictor.clear_prediction_cache`) and statistics read
+that table, and lint rule RPR002 rejects a cache declared any other way.
+User subclasses may be unhashable, so a memo falls back to an uncached
+call - while TypeErrors raised by the computation itself still propagate
+unchanged (and without silently re-running the computation).
 """
 
 from __future__ import annotations
 
 from dataclasses import fields
+from functools import lru_cache, wraps
 from typing import Callable, List, TypeVar
 
-_R = TypeVar("_R")
+_F = TypeVar("_F", bound=Callable)
 
 __all__ = [
-    "call_with_unhashable_fallback",
+    "MEMOS",
     "cached_field_hash",
-    "register_cache_clearer",
     "clear_registered_caches",
+    "memoised",
 ]
 
 
@@ -54,49 +59,44 @@ def cached_field_hash(obj) -> int:
         instance_dict["_cached_field_hash"] = value
     return value
 
-#: Clearers registered by every module that memoises model inputs.  The
-#: public :func:`repro.core.predictor.clear_prediction_cache` drains this
-#: registry so "clear the caches" means *all* of them - the predict memo,
-#: the communication-cost memo and the simulator-result memo - which is the
-#: contract ``tests/test_conformance.py`` pins down.
-_CACHE_CLEARERS: List[Callable[[], None]] = []
+
+#: Every memo declared with :func:`memoised`, in import order.
+MEMOS: List[Callable] = []
 
 
-def register_cache_clearer(clearer: Callable[[], None]) -> Callable[[], None]:
-    """Register a zero-argument cache-clearing callable (idempotent).
+def memoised(maxsize: int) -> Callable[[_F], _F]:
+    """Decorator: an ``lru_cache`` of ``maxsize`` entries, listed in :data:`MEMOS`.
 
-    Returns the callable so it can be used as a decorator.  Modules register
-    at import time; a cache that was never imported has nothing to clear.
+    The decorated function keeps its name, docstring and pickle identity
+    and gains ``cache_clear``/``cache_info``.  Unhashable arguments are
+    evaluated uncached; ``lru_cache`` raises TypeError while building its
+    key, before the computation runs, so a TypeError whose arguments hash
+    fine came from the computation and is re-raised as-is.
     """
-    if clearer not in _CACHE_CLEARERS:
-        _CACHE_CLEARERS.append(clearer)
-    return clearer
+
+    def decorate(function: _F) -> _F:
+        cached = lru_cache(maxsize=maxsize)(function)
+
+        @wraps(function)
+        def memo(*args, **kwargs):
+            try:
+                return cached(*args, **kwargs)
+            except TypeError:
+                try:
+                    hash((args, tuple(kwargs.values())))
+                except TypeError:
+                    return function(*args, **kwargs)
+                raise  # the TypeError came from the computation, not the cache key
+
+        memo.cache_clear = cached.cache_clear
+        memo.cache_info = cached.cache_info
+        MEMOS.append(memo)
+        return memo  # type: ignore[return-value]
+
+    return decorate
 
 
 def clear_registered_caches() -> None:
-    """Invoke every registered cache clearer."""
-    for clearer in _CACHE_CLEARERS:
-        clearer()
-
-
-def call_with_unhashable_fallback(
-    cached: Callable[..., _R],
-    uncached: Callable[..., _R],
-    *args,
-) -> _R:
-    """``cached(*args)``, falling back to ``uncached(*args)`` on unhashable args.
-
-    ``cached`` is an ``lru_cache``-wrapped function, which raises TypeError
-    while building its key if any argument is unhashable - before the wrapped
-    computation runs.  A TypeError raised *by the computation* is
-    distinguished by probing ``hash(args)``: if the key hashes fine, the
-    error came from the computation and is re-raised as-is.
-    """
-    try:
-        return cached(*args)
-    except TypeError:
-        try:
-            hash(args)
-        except TypeError:
-            return uncached(*args)
-        raise  # the TypeError came from the computation, not the cache key
+    """Empty every memo in :data:`MEMOS`."""
+    for memo in MEMOS:
+        memo.cache_clear()

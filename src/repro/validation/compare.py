@@ -149,10 +149,12 @@ def diff_backends(
 
 def _adjusted_model_us(result: BackendResult, simulate_nonwavefront: bool) -> float:
     """The candidate's per-iteration time, minus ``Tnonwavefront`` when the
-    measurement excludes the non-wavefront phase (analytic backends only)."""
+    measurement excludes the non-wavefront phase (analytic backends only:
+    every analytic result carries a ``"nonwavefront"`` phase)."""
     model_us = result.time_per_iteration_us
     if not simulate_nonwavefront:
-        if result.prediction is None:
+        nonwavefront = dict(result.phases).get("nonwavefront")
+        if nonwavefront is None:
             raise ValueError(
                 "simulate_nonwavefront=False needs a candidate whose "
                 "non-wavefront phase can be excluded: an analytic backend "
@@ -160,7 +162,7 @@ def _adjusted_model_us(result: BackendResult, simulate_nonwavefront: bool) -> fl
                 "SimulatorBackend (reconfigured automatically); backend "
                 f"{result.backend!r} supports neither"
             )
-        model_us -= result.prediction.iteration.tnonwavefront
+        model_us -= nonwavefront
     return model_us
 
 

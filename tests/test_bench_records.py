@@ -138,6 +138,24 @@ class TestVecRecord:
         recomputed = record["analytic_fast_s"] / record["analytic_vec_s"]
         assert record["speedup"] == pytest.approx(recomputed, rel=1e-9)
 
+    def test_vec_no_slower_on_many_small_grids(self):
+        """On a matrix of many distinct small grids batch pricing is never
+        slower than per-point pricing (the float crossover's contract)."""
+        case = _load("BENCH_vec.json")["many_small_grids"]
+        _require(
+            case,
+            "BENCH_vec.json many_small_grids",
+            {
+                "points": int,
+                "analytic_fast_s": (int, float),
+                "analytic_vec_s": (int, float),
+                "max_abs_deviation_us": (int, float),
+            },
+        )
+        assert case["points"] == 256
+        assert case["analytic_vec_s"] <= case["analytic_fast_s"]
+        assert case["max_abs_deviation_us"] == 0.0
+
 
 class TestFaultsRecord:
     def test_schema(self):

@@ -30,9 +30,9 @@ Plus two cross-cutting families:
   ``optimal_htile``'s exhaustive and golden-section strategies agree
   within one grid step across the matrix;
 * the **cache-invalidation contract**: ``clear_prediction_cache`` empties
-  every prediction-related memo (predict, decomposition and core-mapping
-  resolution, the vec batch memo, simulator results), so a changed
-  platform parameter is guaranteed a fresh evaluation.
+  every memo in ``repro.util.caching.MEMOS`` (predict, decomposition and
+  core-mapping resolution, simulator results, campaign point builds), so
+  a changed platform parameter is guaranteed a fresh evaluation.
 """
 
 from __future__ import annotations
@@ -474,25 +474,27 @@ class TestCacheInvalidationContract:
         assert prediction_cache_info().currsize == 0
         assert simulation_cache_info().currsize == 0
 
-    def test_clears_vec_and_resolution_memos(self):
-        """The vec batch memo and the resolution memos joined the registry."""
-        from repro.backends.vectorized import _BATCH_MEMO
-        from repro.core.decomposition import _decompose_cached
-        from repro.core.multicore import _resolve_core_mapping_cached
+    def test_clears_every_memo_in_the_table(self):
+        """Every memo is declared in ``util.caching.MEMOS``, and one clear
+        empties the whole table."""
+        from repro.backends.service import predict_many
+        from repro.campaigns import CampaignPoint, get_campaign
+        from repro.util.caching import MEMOS
 
-        platform = cray_xt4()
-        predict_one(
-            _spec("chimaera-240"), platform, total_cores=16, backend="analytic-vec"
+        point = CampaignPoint(
+            app="chimaera-240", platform="cray-xt4", total_cores=16, htile=None,
+            backend="analytic-vec",
         )
-        assert len(_BATCH_MEMO) > 0
-        assert _decompose_cached.cache_info().currsize > 0
-        assert _resolve_core_mapping_cached.cache_info().currsize > 0
+        predict_many([point.request()], backend="analytic-vec")
+        predict_one(_spec("lu-classA"), cray_xt4(), total_cores=4, backend="analytic-fast")
+        predict_one(_spec("lu-classA"), cray_xt4(), total_cores=4, backend="simulator")
+        get_campaign("htile-sweep")
+        filled = [memo.__qualname__ for memo in MEMOS if memo.cache_info().currsize]
+        assert len(filled) >= 6, filled
 
         clear_prediction_cache()
 
-        assert len(_BATCH_MEMO) == 0
-        assert _decompose_cached.cache_info().currsize == 0
-        assert _resolve_core_mapping_cached.cache_info().currsize == 0
+        assert [memo.__qualname__ for memo in MEMOS if memo.cache_info().currsize] == []
 
     def test_mutated_platform_parameter_gets_fresh_prediction(self):
         """After a clear, a changed parameter must change the prediction.

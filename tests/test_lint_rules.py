@@ -101,7 +101,7 @@ def test_rpr001_not_applied_outside_src_scope():
 
 
 # ---------------------------------------------------------------------------
-# RPR002 - caches without a registered clearer
+# RPR002 - caches declared outside util.caching.memoised
 
 
 def test_rpr002_flags_lru_cache_without_clearer():
@@ -115,40 +115,49 @@ def test_rpr002_flags_lru_cache_without_clearer():
     assert ids(check(source)) == ["RPR002"]
 
 
-def test_rpr002_clean_with_registered_clearer():
+def test_rpr002_flags_lru_cache_even_with_a_private_clearer():
+    # A clearer only its own module knows about is exactly the hand-kept
+    # wiring the one memo table replaces; the call form is caught too.
     source = """\
-    from functools import lru_cache
+    import functools
 
-    from repro.util.caching import register_cache_clearer
+    def _g(x):
+        return x
 
-    @lru_cache(maxsize=None)
+    g = functools.lru_cache(maxsize=8)(_g)
+
+    @functools.cache
     def f(x):
         return x * 2
 
-    @register_cache_clearer
-    def _clear_f():
+    def clear_f():
         f.cache_clear()
+        g.cache_clear()
+    """
+    assert ids(check(source)) == ["RPR002", "RPR002"]
+
+
+def test_rpr002_accepts_memoised():
+    source = """\
+    from repro.util.caching import memoised
+
+    @memoised(maxsize=4096)
+    def _predict(x):
+        return x
     """
     assert ids(check(source)) == []
 
 
-def test_rpr002_clean_when_drain_entry_point_clears():
-    # A function calling clear_registered_caches IS the drain entry point;
-    # caches it clears directly are covered (predictor.py pattern).
+def test_rpr002_exempts_the_caching_module_itself():
+    # memoised is built on lru_cache; only repro/util/caching.py may do so.
     source = """\
     from functools import lru_cache
 
-    from repro.util.caching import clear_registered_caches
-
-    @lru_cache(maxsize=4096)
-    def _predict(x):
-        return x
-
-    def clear_everything():
-        _predict.cache_clear()
-        clear_registered_caches()
+    def memoised(maxsize):
+        return lru_cache(maxsize=maxsize)
     """
-    assert ids(check(source)) == []
+    assert ids(check(source, path="src/repro/util/caching.py")) == []
+    assert ids(check(source, path="src/repro/util/other.py")) == ["RPR002"]
 
 
 def test_rpr002_flags_module_level_cache_dict():

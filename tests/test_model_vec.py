@@ -22,14 +22,14 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.apps.workloads import standard_workloads
-from repro.backends.service import predict_many
+from repro.apps.workloads import lu_class, standard_workloads
+from repro.backends.service import as_request, predict_many
 from repro.campaigns.spec import CampaignSpec
 from repro.core import model_vec
 from repro.core.decomposition import decompose
 from repro.core.faults import FaultModel
 from repro.core.hetero import SampledNoise, SpeedProfile
-from repro.core.model import _fold_geometry
+from repro.core.model import _fill_plan, _fold_geometry
 from repro.core.predictor import clear_prediction_cache
 from repro.platforms import cray_xt4, cray_xt4_quad_chip
 
@@ -168,6 +168,38 @@ class TestScenarioPlatformsAtFoldScale:
             _priced(requests, "analytic-vec"), _priced(requests, "analytic-fast")
         )
         clear_prediction_cache()
+
+
+#: LU class A on cray-xt4 over 256 even core counts: 173 of the grids refuse
+#: the fold, so most walks hold one point and run on floats.
+MANY_SMALL_GRIDS = range(16, 528, 2)
+
+
+class TestManySmallGrids:
+    def _requests(self):
+        return [(lu_class("A"), cray_xt4(), cores) for cores in MANY_SMALL_GRIDS]
+
+    def test_matrix_reaches_both_sides_of_the_crossover(self):
+        walks: dict[tuple, int] = {}
+        for _spec, _platform, cores in self._requests():
+            grid = decompose(cores)
+            walk = _fill_plan(grid.n, grid.m, 1, 2)[0]
+            walks[walk] = walks.get(walk, 0) + 1
+        assert min(walks.values()) < model_vec._COLUMN_CROSSOVER
+        assert max(walks.values()) >= model_vec._COLUMN_CROSSOVER
+
+    def test_one_batch_equals_fast_bit_for_bit(self):
+        requests = self._requests()
+        _assert_identical(
+            _priced(requests, "analytic-vec"), _priced(requests, "analytic-fast")
+        )
+        clear_prediction_cache()
+
+    def test_small_chunks_equal_whole_batch(self):
+        """Chunks below the crossover are priced point by point."""
+        configs = [as_request(request).resolve() for request in self._requests()]
+        whole = model_vec.batch_point_values(configs)
+        assert _chunked_points(configs, model_vec._COLUMN_CROSSOVER - 1) == whole
 
 
 #: Run in a fresh interpreter where ``import numpy`` raises ImportError.

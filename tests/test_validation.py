@@ -146,6 +146,24 @@ class TestDiffBackends:
         # Same engine, same configuration on both sides: exact agreement.
         assert result.relative_error == 0.0
 
+    def test_vec_candidate_subtracts_its_nonwavefront_phase(self):
+        """analytic-vec results carry no Prediction detail; their
+        "nonwavefront" phase is subtracted, exactly as analytic-fast's."""
+        from repro.apps.workloads import lu_class
+        from repro.platforms import cray_xt4
+
+        cases = [(lu_class("A"), cray_xt4(), 16), (lu_class("A"), cray_xt4(), 64)]
+        fast, vec = (
+            validate_matrix(cases, simulate_nonwavefront=False, model_backend=backend)
+            for backend in ("analytic-fast", "analytic-vec")
+        )
+        assert [r.model_us for r in vec.results] == [r.model_us for r in fast.results]
+        single = validate_configuration(
+            lu_class("A"), cray_xt4(), total_cores=16,
+            simulate_nonwavefront=False, model_backend="analytic-vec",
+        )
+        assert single.model_us == fast.results[0].model_us
+
     def test_unadjustable_candidate_with_nonwavefront_off_rejected(self, problem, xt4_single):
         """A backend that can neither subtract Tnonwavefront nor be
         reconfigured fails loudly instead of comparing mismatched phases."""
