@@ -12,10 +12,14 @@ backend contract:
 
 * ``analytic-vec`` and ``analytic-fast`` agree within 1e-9 (absolute, in
   µs; the two paths are in fact bit-identical),
-* ``analytic-vec`` is at least 10x faster on the full grid, and
+* ``analytic-vec`` is at least 10x faster on the full grid,
 * ``analytic-vec`` is never slower than per-point pricing on a matrix of
   many distinct small grids, whose walks mostly hold one point each (the
-  case the float crossover in :mod:`repro.core.model_vec` exists for).
+  case the float crossover in :mod:`repro.core.model_vec` exists for), and
+* priced one or four requests per ``predict_many`` call - the way
+  ``predict_one``, a CLI ``predict`` or a golden-section search send
+  points to it - ``analytic-vec`` costs about what ``analytic-fast`` does:
+  groups below the crossover take the scalar path.
 
 Each backend's time is the best of ``ROUNDS`` cold rounds (memos cleared
 and garbage collected before every round, the two backends alternating),
@@ -56,6 +60,14 @@ RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_vec.json"
 SMALL_GRID_CORES = range(16, 528, 2)
 #: Cold rounds per backend on the small-grid matrix (each takes milliseconds).
 SMALL_GRID_ROUNDS = 11
+#: Requests per ``predict_many`` call in the small-batch case: both below
+#: ``model_vec._COLUMN_CROSSOVER``.
+SMALL_BATCH_SIZES = (1, 4)
+#: Largest vec/fast time ratio allowed on small batches.  With groups below
+#: the crossover priced on floats, analytic-vec measured 0.87-1.20x of
+#: analytic-fast's time here; pricing one-request groups on columns took
+#: 1.8x (2-vCPU VM, Python 3.11, numpy 2.4).
+SMALL_BATCH_MAX_RATIO = 1.5
 
 
 def _design_matrix(platform):
@@ -68,25 +80,37 @@ def _design_matrix(platform):
     return requests
 
 
-def _time_backend(requests, backend: str) -> tuple[float, list]:
+def _small_grid_requests(platform):
+    return [
+        PredictionRequest(lu_class("A"), platform, total_cores=cores)
+        for cores in SMALL_GRID_CORES
+    ]
+
+
+def _time_backend(requests, backend: str, batch_size: int) -> tuple[float, list]:
+    """Price ``requests`` in ``predict_many`` calls of ``batch_size``."""
     clear_prediction_cache()
     # Start from a collected heap: cyclic garbage left by earlier tests (the
     # simulator's, say) otherwise slows whichever round runs next, doubling
     # the vec time in a full tier-1 run.
     gc.collect()
+    results = []
     start = time.perf_counter()
-    results = predict_many(requests, backend=backend)
+    for first in range(0, len(requests), batch_size):
+        results += predict_many(requests[first : first + batch_size], backend=backend)
     return time.perf_counter() - start, results
 
 
-def _best_rounds(requests, rounds: int):
+def _best_rounds(requests, rounds: int, batch_size: int | None = None):
     """Best cold time of each backend over alternating rounds, and the
-    largest |vec - fast| per-iteration deviation."""
+    largest |vec - fast| per-iteration deviation.  ``batch_size`` defaults
+    to the whole matrix in one call."""
+    batch_size = batch_size or len(requests)
     fast_s = vec_s = float("inf")
     for _ in range(rounds):
-        seconds, fast = _time_backend(requests, "analytic-fast")
+        seconds, fast = _time_backend(requests, "analytic-fast", batch_size)
         fast_s = min(fast_s, seconds)
-        seconds, vec = _time_backend(requests, "analytic-vec")
+        seconds, vec = _time_backend(requests, "analytic-vec", batch_size)
         vec_s = min(vec_s, seconds)
     deviation = max(
         abs(a.time_per_iteration_us - b.time_per_iteration_us) for a, b in zip(fast, vec)
@@ -152,10 +176,7 @@ def test_vec_backend_speedup_10k_grid(benchmark, update_bench):
 
 def test_vec_no_slower_on_many_small_grids(update_bench):
     platform = cray_xt4()
-    requests = [
-        PredictionRequest(lu_class("A"), platform, total_cores=cores)
-        for cores in SMALL_GRID_CORES
-    ]
+    requests = _small_grid_requests(platform)
     fast_s, vec_s, max_abs_deviation = _best_rounds(requests, SMALL_GRID_ROUNDS)
 
     table = Table(
@@ -184,6 +205,52 @@ def test_vec_no_slower_on_many_small_grids(update_bench):
                 "analytic_vec_s": vec_s,
                 "rounds": SMALL_GRID_ROUNDS,
                 "max_abs_deviation_us": max_abs_deviation,
+            }
+        },
+        update_bench,
+    )
+
+
+def test_vec_about_as_fast_on_small_batches(update_bench):
+    platform = cray_xt4()
+    requests = _small_grid_requests(platform)
+    table = Table(
+        ["requests per call", "analytic-fast (ms)", "analytic-vec (ms)", "vec / fast"],
+        title=f"{len(requests)} requests of lu-classA on {platform.name}, small batches",
+    )
+    batches = []
+    for batch_size in SMALL_BATCH_SIZES:
+        fast_s, vec_s, max_abs_deviation = _best_rounds(
+            requests, SMALL_GRID_ROUNDS, batch_size
+        )
+        assert max_abs_deviation <= ABS_TOL
+        table.add_row(
+            batch_size, round(1e3 * fast_s, 2), round(1e3 * vec_s, 2), round(vec_s / fast_s, 2)
+        )
+        batches.append(
+            {
+                "batch_size": batch_size,
+                "analytic_fast_s": fast_s,
+                "analytic_vec_s": vec_s,
+                "max_abs_deviation_us": max_abs_deviation,
+            }
+        )
+    emit(table.render())
+
+    for batch in batches:
+        assert batch["analytic_vec_s"] <= SMALL_BATCH_MAX_RATIO * batch["analytic_fast_s"], (
+            f"analytic-vec is {batch['analytic_vec_s'] / batch['analytic_fast_s']:.2f}x "
+            f"analytic-fast in {batch['batch_size']}-request calls"
+        )
+    _update_record(
+        {
+            "small_batches": {
+                "application": "lu-classA",
+                "platform": platform.name,
+                "points": len(requests),
+                "rounds": SMALL_GRID_ROUNDS,
+                "contract_max_ratio": SMALL_BATCH_MAX_RATIO,
+                "batches": batches,
             }
         },
         update_bench,

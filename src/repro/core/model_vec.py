@@ -134,16 +134,17 @@ def have_numpy() -> bool:
 def warn_on_fallback() -> None:
     """Log that batches run on the pure-stdlib path, once per cache clear.
 
-    Call it only when :func:`have_numpy` is false.  The stdlib fallback
-    produces identical results but is much slower, so benchmark numbers
-    taken on it are not comparable with numpy runs; the warning keeps that
-    visible (see the README's optional-numpy section).  Being a memo, it
-    fires again after :func:`repro.core.predictor.clear_prediction_cache`.
+    Does nothing while numpy is importable.  The stdlib fallback produces
+    identical results but is much slower, so benchmark numbers taken on it
+    are not comparable with numpy runs; the warning keeps that visible (see
+    the README's optional-numpy section).  Being a memo, it fires again
+    after :func:`repro.core.predictor.clear_prediction_cache`.
     """
-    _LOGGER.warning(
-        "numpy is not importable; analytic-vec is evaluating batches on "
-        "the pure-stdlib fallback path (identical results, much slower)"
-    )
+    if _np is None:
+        _LOGGER.warning(
+            "numpy is not importable; analytic-vec is evaluating batches on "
+            "the pure-stdlib fallback path (identical results, much slower)"
+        )
 
 
 class PointValues(NamedTuple):

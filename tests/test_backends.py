@@ -18,6 +18,7 @@ from repro.backends import (
     simulation_cache_info,
 )
 from repro.backends.registry import _FACTORIES
+from repro.core import model_vec
 from repro.core.decomposition import ProblemSize, ProcessorGrid
 from repro.core.predictor import predict
 from repro.simulator.wavefront import simulate_wavefront
@@ -273,9 +274,11 @@ class TestBatchProtocol:
         assert [r.total_cores for r in results] == [4, 16, 64]
 
     def test_batch_and_scalar_backends_agree(self, spec, xt4_single):
+        # Sixteen points: smaller groups are priced point by point.
         requests = [
-            PredictionRequest(spec, xt4_single, total_cores=c) for c in (4, 16, 64)
+            PredictionRequest(spec, xt4_single, total_cores=c) for c in range(4, 68, 4)
         ]
+        assert len(requests) >= model_vec._COLUMN_CROSSOVER
         scalar = predict_many(requests, backend="analytic-fast")
         batched = predict_many(requests, backend="analytic-vec")
         assert [r.time_per_iteration_us for r in scalar] == [

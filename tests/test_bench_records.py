@@ -156,6 +156,23 @@ class TestVecRecord:
         assert case["analytic_vec_s"] <= case["analytic_fast_s"]
         assert case["max_abs_deviation_us"] == 0.0
 
+    def test_vec_about_as_fast_on_small_batches(self):
+        """Priced one or four requests per call, analytic-vec stays within
+        the recorded ratio of analytic-fast (small groups run on floats)."""
+        case = _load("BENCH_vec.json")["small_batches"]
+        _require(
+            case,
+            "BENCH_vec.json small_batches",
+            {"points": int, "contract_max_ratio": (int, float), "batches": list},
+        )
+        assert case["points"] == 256
+        assert [batch["batch_size"] for batch in case["batches"]] == [1, 4]
+        for batch in case["batches"]:
+            assert batch["analytic_vec_s"] <= (
+                case["contract_max_ratio"] * batch["analytic_fast_s"]
+            )
+            assert batch["max_abs_deviation_us"] == 0.0
+
 
 class TestFaultsRecord:
     def test_schema(self):

@@ -7,10 +7,13 @@ Three families of contracts over the registered prediction backends:
   including heterogeneous scenario platforms;
 * **vec = fast**: the vectorized batch backend (``analytic-vec``) runs
   the scalar fast path's equations on numpy columns, so it reproduces it
-  on the same matrix (to 1e-9 relative) and exactly on the scenario
+  on the same matrix (to 1e-9 relative point by point, exactly when each
+  platform's matrix is priced as one batch) and exactly on the scenario
   platforms - on the numpy path *and* on the pure-stdlib fallback
   (``model_vec._np = None``), which prices each point through the scalar
-  model;
+  model.  Groups smaller than ``model_vec._COLUMN_CROSSOVER`` are priced
+  point by point on numpy too, so the batch tests below use batches at
+  least that large;
 * **analytic vs simulator**: on the noise-free homogeneous matrix the
   analytic model stays within a pinned tolerance of the discrete-event
   "measurement" (the paper's <5%/<10% validation claim, with head-room for
@@ -41,8 +44,9 @@ import pytest
 
 from repro.apps.workloads import standard_workloads
 from repro.backends.registry import available_backends
-from repro.backends.service import predict_one
+from repro.backends.service import predict_many, predict_one
 from repro.backends.simulator import simulation_cache_info
+from repro.core import model_vec
 from repro.core.faults import FaultModel
 from repro.core.hetero import NoNoise, SampledNoise, SlowdownWindow, SpeedProfile
 from repro.core.predictor import (
@@ -78,6 +82,38 @@ def _spec(app: str):
 def _matrix_id(entry) -> str:
     app, platform_name, cores = entry
     return f"{app}-{platform_name}-P{cores}"
+
+
+#: Htile values that turn a platform's matrix into one ``analytic-vec``
+#: batch in which every grid shape holds ``len(APPS) * len(BATCH_HTILES)``
+#: points - at least ``model_vec._COLUMN_CROSSOVER``, so the group and its
+#: fill walks are priced on columns, not point by point.
+BATCH_HTILES = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+
+
+def _batch(platform, cores=CORE_COUNTS):
+    """One request per (app, htile, core count) on ``platform``."""
+    assert len(APPS) * len(BATCH_HTILES) >= model_vec._COLUMN_CROSSOVER
+    return [
+        (_spec(app).with_htile(htile), platform, total)
+        for app in APPS
+        for htile in BATCH_HTILES
+        for total in cores
+    ]
+
+
+def _priced_fields(requests, backend: str) -> list[tuple]:
+    """Every float of each result, the requests priced as one batch."""
+    clear_prediction_cache()
+    return [
+        (
+            result.time_per_iteration_us,
+            result.computation_per_iteration_us,
+            result.pipeline_fill_per_iteration_us,
+            result.phases,
+        )
+        for result in predict_many(requests, backend=backend)
+    ]
 
 
 class TestFastEqualsExact:
@@ -130,7 +166,8 @@ class TestFastEqualsExact:
 
 
 class TestVecEqualsFast:
-    """``analytic-vec`` reproduces the scalar fast path (both vector paths)."""
+    """``analytic-vec`` reproduces the scalar fast path, point by point and
+    as batches priced on columns."""
 
     @pytest.mark.parametrize("entry", MATRIX, ids=_matrix_id)
     def test_homogeneous_matrix(self, entry):
@@ -149,6 +186,16 @@ class TestVecEqualsFast:
         ):
             assert fast_name == vec_name
             assert vec_time == pytest.approx(fast_time, rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("platform_name", sorted(PLATFORMS))
+    def test_platform_matrix_as_one_batch(self, platform_name):
+        """Covers both fill-corner column paths: closed form on single-core
+        nodes, walks on multi-core ones."""
+        requests = _batch(PLATFORMS[platform_name]())
+        assert _priced_fields(requests, "analytic-vec") == _priced_fields(
+            requests, "analytic-fast"
+        )
+        clear_prediction_cache()
 
     @pytest.mark.parametrize(
         "platform_builder",
@@ -172,15 +219,11 @@ class TestVecEqualsFast:
         ids=["stragglers", "sampled-noise", "hierarchical", "combined", "faulty"],
     )
     def test_scenario_platforms(self, platform_builder):
-        platform = platform_builder()
-        for cores in (16, 64):
-            fast = predict_one(
-                _spec("chimaera-240"), platform, total_cores=cores, backend="analytic-fast"
-            )
-            vec = predict_one(
-                _spec("chimaera-240"), platform, total_cores=cores, backend="analytic-vec"
-            )
-            assert vec.time_per_iteration_us == fast.time_per_iteration_us
+        requests = _batch(platform_builder(), cores=(16, 64))
+        assert _priced_fields(requests, "analytic-vec") == _priced_fields(
+            requests, "analytic-fast"
+        )
+        clear_prediction_cache()
 
     def test_pure_stdlib_fallback_matches(self, monkeypatch, caplog):
         """Without numpy the per-point fallback produces the same numbers,
@@ -232,6 +275,16 @@ class TestVecEqualsFast:
             record for record in caplog.records if "stdlib fallback" in record.message
         ]
         assert len(fallback_warnings) == 2
+        clear_prediction_cache()
+
+    def test_no_fallback_warning_while_numpy_imports(self, monkeypatch, caplog):
+        import logging
+
+        monkeypatch.setattr(model_vec, "_np", object())  # numpy importable
+        clear_prediction_cache()
+        with caplog.at_level(logging.WARNING, logger="repro.core.model_vec"):
+            model_vec.warn_on_fallback()
+        assert not [r for r in caplog.records if "stdlib fallback" in r.message]
         clear_prediction_cache()
 
 
@@ -319,6 +372,18 @@ class TestHomogeneousLimit:
                     result.computation_per_iteration_us
                     == reference.computation_per_iteration_us
                 ), f"{label} on {plain.name} drifted through {backend}"
+
+    def test_bit_identical_on_vec_columns(self):
+        """The same contract for ``analytic-vec`` batches priced on columns
+        (the test above prices one point at a time)."""
+        for platform_builder in (cray_xt4_single_core, cray_xt4):
+            plain = platform_builder()
+            reference = _priced_fields(_batch(plain), "analytic-vec")
+            for label, decorated in _trivial_variants(plain).items():
+                assert _priced_fields(_batch(decorated), "analytic-vec") == reference, (
+                    f"{label} on {plain.name} drifted through analytic-vec batches"
+                )
+        clear_prediction_cache()
 
     def test_trivial_chip_subdivision_is_homogeneous(self):
         # cores_per_chip == cores_per_node leaves one chip per node: no

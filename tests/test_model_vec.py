@@ -1,11 +1,11 @@
 """``analytic-vec`` on mixed batches at fold scale.
 
-The conformance suite prices ``analytic-vec`` one point at a time on small
-machines, where the period fold never engages.  Campaigns hand the
-vectorized evaluator thousand-point batches instead: many grid shapes per
-``(platform, mapping)`` group, shapes that fold onto the same small grid
-and share one walk, shapes the fold refuses, and straggler platforms whose
-corrections are priced once per grid.  These tests price such batches in
+The conformance suite prices ``analytic-vec`` on small machines, where the
+period fold never engages.  Campaigns hand the vectorized evaluator
+thousand-point batches instead: many grid shapes per ``(platform, mapping)``
+group, shapes that fold onto the same small grid and share one walk, shapes
+the fold refuses, single-core groups priced in closed form, and straggler
+platforms whose corrections are priced once per grid.  These tests price such batches in
 one call and require every float to equal ``analytic-fast`` exactly, and
 the result not to depend on how the batch is chunked - on numpy and in a
 process where numpy cannot be imported at all.
@@ -34,7 +34,9 @@ from repro.core.predictor import clear_prediction_cache
 from repro.platforms import cray_xt4, cray_xt4_quad_chip
 
 APPS = ("lu-classA", "sweep3d-20m", "chimaera-240")
-PLATFORMS = ("cray-xt4", "cray-xt4-quad-chip")
+#: The single-core platform prices its fill corners in closed form on
+#: columns; the other two walk them, folded where the fold applies.
+PLATFORMS = ("cray-xt4-1core", "cray-xt4", "cray-xt4-quad-chip")
 PROFILES = ("none", "stragglers:1x2.0")
 #: The runner's chunk size (``repro.campaigns.runner.DEFAULT_BATCH_SIZE``).
 CHUNK = 1024
@@ -43,7 +45,8 @@ CHUNK = 1024
 def _even_grid_cores(largest: int, count: int) -> list[int]:
     """``count`` core counts up to ``largest`` whose grids have even sides.
 
-    Even sides tile the 1x2 and 2x2 node rectangles of both platforms.
+    Even sides tile the 1x2 and 2x2 node rectangles of the multi-core
+    platforms.
     """
     cores = [
         total
