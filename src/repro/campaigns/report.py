@@ -2,16 +2,21 @@
 
 The report layer never runs a backend - it renders whatever the
 :class:`~repro.campaigns.store.ResultStore` holds, which is what makes a
-report reproducible from the store file alone (and byte-identical however
-many interruptions the producing run suffered).  Three views mirror the
+report reproducible from the store file alone.  Rows are ordered totally,
+by configuration and then by the record's content hash, so the same records
+render byte-identically whatever order they were written in and however
+many interruptions the producing run suffered.  Four views mirror the
 paper's presentation:
 
 * **results table** - every stored point with its headline numbers;
 * **model-vs-measurement** - when the campaign names a ``baseline`` backend
   (the simulator in the built-ins), candidate backends are diffed against it
-  per configuration, reproducing the error columns of Tables 4-7; the error
-  arithmetic reuses :class:`repro.validation.compare.ValidationResult`, the
-  same type :func:`repro.validation.compare.diff_backends` produces;
+  per configuration, reproducing the error columns of Tables 4-7.  A
+  configuration includes its scenario fields - placement, speed profile,
+  noise model and fault model - so a fault model's prediction pairs only
+  with that fault model's measurement.  The error arithmetic reuses
+  :class:`repro.validation.compare.ValidationResult`, the same type
+  :func:`repro.validation.compare.diff_backends` produces;
 * **figure data** - strong-scaling curves (Figure 6) for every
   (application, platform, backend, Htile) group spanning >= 2 core counts,
   and Htile sweeps (Figure 5) for every group spanning >= 2 tile heights;
@@ -20,25 +25,46 @@ paper's presentation:
   time (the ``optimization-study`` campaign's conclusion table; see
   :mod:`repro.optimize` for searching such spaces without exhaustion).
 
-:func:`campaign_report` renders Markdown; :func:`write_report` additionally
-emits the CSV data files next to it.
+Every render reads the store once.  One private analysis holds the sorted
+records with their scenario cells, the validation pairs and the curve and
+optima groups; :func:`campaign_report` renders the Markdown from it, and
+:func:`write_report` renders the Markdown and every CSV data file from the
+same analysis, writing each file as soon as it is rendered.
 """
 
 from __future__ import annotations
 
+import csv
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Optional, Union
+from typing import Any, Iterable, Iterator, Optional, Union
 
 from repro.campaigns.spec import CampaignSpec
 from repro.campaigns.store import ResultStore, as_store
-from repro.util.tables import Table
+from repro.util.tables import format_markdown
 from repro.validation.compare import ValidationResult, ValidationSummary
 
 __all__ = ["campaign_report", "write_report"]
 
 
-#: The scenario fields a point may carry (heterogeneity campaigns).
-_SCENARIO_FIELDS = ("placement", "speed_profile", "noise_model")
+#: The scenario fields a point may carry (heterogeneity and fault campaigns).
+_SCENARIO_FIELDS = ("placement", "speed_profile", "noise_model", "fault_model")
+
+#: Every file :func:`write_report` can emit, in the order it writes them.
+_OUTPUTS = (
+    "report.md",
+    "results.csv",
+    "validation.csv",
+    "figure6_scaling.csv",
+    "figure5_htile.csv",
+)
+
+#: A stored record, which the analysis gives its ``"scenario"`` cell.
+Record = dict[str, Any]
+#: A validation pairing: candidate record, baseline record, their diff.
+Pair = tuple[Record, Record, ValidationResult]
+#: A figure curve: the held point fields and the records along the axis.
+Curve = tuple[tuple, list[Record]]
 
 
 def _scenario_cell(point: dict[str, Any]) -> str:
@@ -51,39 +77,28 @@ def _scenario_cell(point: dict[str, Any]) -> str:
     return " ".join(parts) if parts else "-"
 
 
-def _has_scenarios(records: list[dict[str, Any]]) -> bool:
-    return any(
-        record["point"].get(name) is not None
-        for record in records
-        for name in _SCENARIO_FIELDS
-    )
-
-
-def _sort_key(record: dict[str, Any]) -> tuple:
+def _sort_key(record: Record) -> tuple:
+    """Report order: by configuration, ties broken by the content hash."""
     point = record["point"]
     return (
         point["app"],
         point["platform"],
         point["total_cores"],
         -1.0 if point.get("htile") is None else float(point["htile"]),
-        _scenario_cell(point),
+        record["scenario"],
         point["backend"],
         -1 if point.get("noise_seed") is None else int(point["noise_seed"]),
+        record["key"],
     )
 
 
-def _sorted_records(store: ResultStore) -> list[dict[str, Any]]:
-    return sorted(store.records(), key=_sort_key)
-
-
-def _spec_from_store(store: ResultStore) -> Optional[CampaignSpec]:
-    if store.spec_dict is None:
-        return None
-    return CampaignSpec.from_dict(store.spec_dict)
-
-
-def _htile_cell(value: Optional[float]) -> object:
+def _dash(value: object) -> object:
     return "-" if value is None else value
+
+
+def _blank(value: object) -> object:
+    """A CSV cell: ``None`` and the "-" placeholder both render empty."""
+    return "" if value is None or value == "-" else value
 
 
 def _config_key(point: dict[str, Any]) -> tuple:
@@ -92,7 +107,8 @@ def _config_key(point: dict[str, Any]) -> tuple:
     Deliberately seed-agnostic: a deterministic candidate (no seed) must
     still pair with every noisy-simulator baseline replica of the same
     configuration.  Scenario fields *are* part of the configuration - a
-    straggler prediction is only comparable to the straggler measurement.
+    straggler prediction is only comparable to the straggler measurement,
+    and a fault model's prediction only to that fault model's measurement.
     """
     return (
         point["app"],
@@ -103,7 +119,7 @@ def _config_key(point: dict[str, Any]) -> tuple:
 
 
 def _resolve_baseline(
-    spec: Optional[CampaignSpec], records: list[dict[str, Any]]
+    spec: Optional[CampaignSpec], records: list[Record]
 ) -> Optional[str]:
     """The backend playing the "measurement" role in error columns.
 
@@ -118,84 +134,60 @@ def _resolve_baseline(
     return None
 
 
-def _validation_rows(
-    records: list[dict[str, Any]], baseline: str
-) -> tuple[list[tuple[dict, dict, ValidationResult]], ValidationSummary]:
+def _validation_pairs(records: list[Record], baseline: str) -> list[Pair]:
     """Pair candidate records with their baseline twin(s) and diff the times.
 
     With a noisy baseline (several seeds per configuration) each candidate
     is diffed against every replica, one row per pairing.
     """
-    baselines: dict[tuple, list[dict[str, Any]]] = {}
+    baselines: dict[tuple, list[Record]] = {}
     for record in records:
         if record["point"]["backend"] == baseline:
             baselines.setdefault(_config_key(record["point"]), []).append(record)
-    rows: list[tuple[dict, dict, ValidationResult]] = []
+    pairs: list[Pair] = []
     for record in records:
-        point = record["point"]
+        point, result = record["point"], record["result"]
         if point["backend"] == baseline:
             continue
         for measured in baselines.get(_config_key(point), []):
             diff = ValidationResult(
-                application=record["result"]["application"],
-                platform=record["result"]["platform"],
-                total_cores=record["result"]["processors"],
-                cores_per_node=record["result"]["cores_per_node"],
-                model_us=record["result"]["time_per_iteration_us"],
+                application=result["application"],
+                platform=result["platform"],
+                total_cores=result["processors"],
+                cores_per_node=result["cores_per_node"],
+                model_us=result["time_per_iteration_us"],
                 simulated_us=measured["result"]["time_per_iteration_us"],
             )
-            rows.append((record, measured, diff))
-    return rows, ValidationSummary(results=tuple(diff for _, _, diff in rows))
+            pairs.append((record, measured, diff))
+    return pairs
 
 
-def _pair_seed(record: dict[str, Any], measured: dict[str, Any]) -> object:
+def _pair_seed(record: Record, measured: Record) -> Optional[int]:
     """The seed identifying a validation pairing (whichever side has one)."""
     seed = record["point"].get("noise_seed")
-    if seed is None:
-        seed = measured["point"].get("noise_seed")
-    return "-" if seed is None else seed
+    return measured["point"].get("noise_seed") if seed is None else seed
 
 
-def _curve_groups(
-    records: list[dict[str, Any]], axis: str, held: tuple[str, ...]
-) -> list[tuple[tuple, list[dict[str, Any]]]]:
+def _curve_groups(records: list[Record], axis: str, held: tuple[str, ...]) -> list[Curve]:
     """Group records by ``held`` point fields, keeping groups where ``axis``
-    takes >= 2 distinct values (sorted along the axis)."""
-    groups: dict[tuple, list[dict[str, Any]]] = {}
+    takes >= 2 distinct values.
+
+    ``records`` come in report order, where the axis is the first sort
+    field the held ones leave free, so each group is already sorted along
+    the axis and spans two values exactly when its ends differ.
+    """
+    groups: dict[tuple, list[Record]] = {}
     for record in records:
         point = record["point"]
-        key = tuple(point.get(name) for name in held)
-        groups.setdefault(key, []).append(record)
-    curves = []
-    for key, members in sorted(groups.items(), key=lambda item: tuple(map(str, item[0]))):
-        values = {member["point"].get(axis) for member in members}
-        if len(values) < 2:
-            continue
-        members.sort(key=lambda r: (r["point"].get(axis) is None, r["point"].get(axis)))
-        curves.append((key, members))
-    return curves
+        groups.setdefault(tuple([point.get(name) for name in held]), []).append(record)
+    return [
+        (key, members)
+        for key, members in sorted(groups.items(), key=lambda item: tuple(map(str, item[0])))
+        if members[0]["point"].get(axis) != members[-1]["point"].get(axis)
+    ]
 
 
-def _scaling_groups(records):
-    return _curve_groups(
-        records,
-        "total_cores",
-        ("app", "platform", "backend", "htile", "noise_seed") + _SCENARIO_FIELDS,
-    )
-
-
-def _htile_groups(records):
-    usable = [r for r in records if r["point"].get("htile") is not None]
-    return _curve_groups(
-        usable,
-        "htile",
-        ("app", "platform", "backend", "total_cores", "noise_seed") + _SCENARIO_FIELDS,
-    )
-
-
-def _optima_groups(
-    records: list[dict[str, Any]]
-) -> list[tuple[tuple, dict[str, Any], int]]:
+def _optima_groups(records: list[Record]) -> list[tuple[tuple, Record, int]]:
     """Per (app, backend, P[, seed]) group: the record minimising execution time.
 
     Only groups offering an actual design choice - at least two distinct
@@ -206,11 +198,12 @@ def _optima_groups(
     record carries one), so a lucky replica never masquerades as a better
     design.
     """
-    groups: dict[tuple, list[dict[str, Any]]] = {}
+    groups: dict[tuple, list[Record]] = {}
     for record in records:
         point = record["point"]
         key = (point["app"], point["backend"], point["total_cores"], point.get("noise_seed"))
         groups.setdefault(key, []).append(record)
+
     def order(item: tuple) -> tuple:
         app, backend, cores, seed = item[0]
         return (app, backend, cores, -1 if seed is None else int(seed))
@@ -218,72 +211,99 @@ def _optima_groups(
     optima = []
     for key, members in sorted(groups.items(), key=order):
         designs = {
-            (m["point"]["platform"], m["point"].get("htile"), _scenario_cell(m["point"]))
-            for m in members
+            (m["point"]["platform"], m["point"].get("htile"), m["scenario"]) for m in members
         }
-        if len(designs) < 2:
-            continue
-        best = min(members, key=lambda m: m["result"]["time_per_time_step_s"])
-        optima.append((key, best, len(designs)))
+        if len(designs) >= 2:
+            best = min(members, key=lambda m: m["result"]["time_per_time_step_s"])
+            optima.append((key, best, len(designs)))
     return optima
 
 
-def _results_table(
-    records: list[dict[str, Any]], with_seeds: bool, with_scenarios: bool
-) -> Table:
-    headers = ["application", "platform", "P", "grid", "Htile"]
-    if with_scenarios:
-        headers.append("scenario")
-    headers.append("backend")
-    if with_seeds:
-        headers.append("seed")
-    headers += ["time/iter (ms)", "time/time-step (s)", "comm fraction"]
-    table = Table(headers)
-    for record in records:
-        point, result = record["point"], record["result"]
-        row = [
-            result["application"],
-            result["platform"],
-            result["processors"],
-            result["grid"],
-            _htile_cell(point.get("htile")),
-        ]
-        if with_scenarios:
-            row.append(_scenario_cell(point))
-        row.append(point["backend"])
-        if with_seeds:
-            row.append("-" if point.get("noise_seed") is None else point["noise_seed"])
-        row += [
-            result["time_per_iteration_us"] / 1000.0,
-            result["time_per_time_step_s"],
-            result["communication_fraction"],
-        ]
-        table.add_row(*row)
-    return table
+@dataclass
+class _Analysis:
+    """One read of a store, sorted and grouped once for every output.
 
-
-def campaign_report(store: Union[str, Path, ResultStore]) -> str:
-    """Render the campaign's Markdown report from its result store.
-
-    The store's header supplies the campaign definition, so the store path
-    is all that is needed (``wavebench campaign report --store PATH``).  The
-    output is deterministic: records are sorted by configuration, floats are
-    formatted with fixed precision, and nothing run-specific (paths,
-    timestamps) is included - an interrupted-then-resumed campaign renders
-    byte-identically to an uninterrupted one.
-
-    >>> import tempfile, os
-    >>> from repro.campaigns.spec import CampaignSpec
-    >>> from repro.campaigns.runner import run_campaign
-    >>> spec = CampaignSpec(name="doc", apps=("lu-classA",), total_cores=(4,))
-    >>> store_path = os.path.join(tempfile.mkdtemp(), "doc.jsonl")
-    >>> _ = run_campaign(spec, store=store_path)
-    >>> campaign_report(store_path).splitlines()[0]
-    '# Campaign report: doc'
+    Each record carries its rendered scenario cell under ``"scenario"``.
+    ``missing`` of the spec's ``points`` are absent from the store.
     """
-    store = as_store(store)
-    spec = _spec_from_store(store)
-    records = _sorted_records(store)
+
+    spec: Optional[CampaignSpec]
+    missing: int
+    points: int
+    records: list[Record]
+    baseline: Optional[str]
+    pairs: list[Pair]
+    summary: ValidationSummary
+    scaling: list[Curve]
+    htile_sweeps: list[Curve]
+    optima: list[tuple[tuple, Record, int]]
+
+
+def _analyse(store: ResultStore) -> _Analysis:
+    spec = None if store.spec_dict is None else CampaignSpec.from_dict(store.spec_dict)
+    missing = points = 0
+    if spec is not None:
+        spec_points = spec.points()
+        points = len(spec_points)
+        missing = sum(1 for point in spec_points if point.key() not in store)
+
+    records = list(store.records())
+    for record in records:
+        record["scenario"] = _scenario_cell(record["point"])
+    records.sort(key=_sort_key)
+
+    baseline = _resolve_baseline(spec, records)
+    pairs = [] if baseline is None else _validation_pairs(records, baseline)
+    return _Analysis(
+        spec=spec,
+        missing=missing,
+        points=points,
+        records=records,
+        baseline=baseline,
+        pairs=pairs,
+        summary=ValidationSummary(results=tuple(diff for _, _, diff in pairs)),
+        scaling=_curve_groups(
+            records,
+            "total_cores",
+            ("app", "platform", "backend", "htile", "noise_seed") + _SCENARIO_FIELDS,
+        ),
+        htile_sweeps=_curve_groups(
+            [r for r in records if r["point"].get("htile") is not None],
+            "htile",
+            ("app", "platform", "backend", "total_cores", "noise_seed") + _SCENARIO_FIELDS,
+        ),
+        optima=_optima_groups(records),
+    )
+
+
+def _curve_title(title: str, seed: Optional[int], members: list[Record]) -> str:
+    if seed is not None:
+        title += f", seed={seed}"
+    scenario = members[0]["scenario"]
+    return title if scenario == "-" else f"{title} [{scenario}]"
+
+
+def _markdown(analysis: _Analysis) -> str:
+    spec, records = analysis.spec, analysis.records
+    with_seeds = any(r["point"].get("noise_seed") is not None for r in records)
+    with_scenarios = any(r["scenario"] != "-" for r in records)
+
+    def columns(*head: str) -> list[str]:
+        """``head``, then the scenario, backend and seed columns in use."""
+        return (
+            list(head)
+            + (["scenario"] if with_scenarios else [])
+            + ["backend"]
+            + (["seed"] if with_seeds else [])
+        )
+
+    def cells(record: Record, seed: Optional[int]) -> list:
+        """The record's cells under the scenario, backend and seed columns."""
+        return (
+            ([record["scenario"]] if with_scenarios else [])
+            + [record["point"]["backend"]]
+            + ([_dash(seed)] if with_seeds else [])
+        )
 
     name = spec.name if spec is not None else "(unnamed campaign)"
     lines = [f"# Campaign report: {name}", ""]
@@ -296,134 +316,115 @@ def campaign_report(store: Union[str, Path, ResultStore]) -> str:
         + (", ".join(backends) if backends else "none")
         + "."
     )
-    if spec is not None:
-        points = spec.points()
-        missing = sum(1 for point in points if point.key() not in store)
-        if missing:
-            lines.append(
-                f"**Incomplete:** {missing} of {len(points)} campaign "
-                "point(s) missing from the store - re-run to fill the delta."
-            )
+    if analysis.missing:
+        lines.append(
+            f"**Incomplete:** {analysis.missing} of {analysis.points} campaign "
+            "point(s) missing from the store - re-run to fill the delta."
+        )
     lines.append("")
 
     if not records:
         lines.append("The store holds no results yet.")
         return "\n".join(lines) + "\n"
 
-    with_seeds = any(r["point"].get("noise_seed") is not None for r in records)
-    with_scenarios = _has_scenarios(records)
+    rows = []
+    for record in records:
+        point, result = record["point"], record["result"]
+        rows.append(
+            [
+                result["application"],
+                result["platform"],
+                result["processors"],
+                result["grid"],
+                _dash(point.get("htile")),
+                *cells(record, point.get("noise_seed")),
+                result["time_per_iteration_us"] / 1000.0,
+                result["time_per_time_step_s"],
+                result["communication_fraction"],
+            ]
+        )
+    headers = columns("application", "platform", "P", "grid", "Htile")
+    headers += ["time/iter (ms)", "time/time-step (s)", "comm fraction"]
+    lines += ["## Results", "", format_markdown(headers, rows), ""]
 
-    lines += [
-        "## Results",
-        "",
-        _results_table(records, with_seeds, with_scenarios).render_markdown(),
-        "",
-    ]
-
-    baseline = _resolve_baseline(spec, records)
-    if baseline is not None:
-        rows, summary = _validation_rows(records, baseline)
-        if rows:
-            lines += [f"## Model vs measurement (baseline: {baseline})", ""]
-            headers = ["application", "platform", "P", "Htile"]
-            if with_scenarios:
-                headers.append("scenario")
-            headers.append("backend")
-            if with_seeds:
-                headers.append("seed")
-            headers += ["model (ms)", "measured (ms)", "error (%)"]
-            table = Table(headers)
-            for record, measured, diff in rows:
-                point = record["point"]
-                row = [
-                    diff.application,
-                    diff.platform,
-                    diff.total_cores,
-                    _htile_cell(point.get("htile")),
-                ]
-                if with_scenarios:
-                    row.append(_scenario_cell(point))
-                row.append(point["backend"])
-                if with_seeds:
-                    row.append(_pair_seed(record, measured))
-                row += [
-                    diff.model_us / 1000.0,
-                    diff.simulated_us / 1000.0,
-                    f"{100.0 * diff.relative_error:+.2f}",
-                ]
-                table.add_row(*row)
-            lines += [table.render_markdown(), ""]
+    if analysis.pairs:
+        rows = [
+            [
+                diff.application,
+                diff.platform,
+                diff.total_cores,
+                _dash(record["point"].get("htile")),
+                *cells(record, _pair_seed(record, measured)),
+                diff.model_us / 1000.0,
+                diff.simulated_us / 1000.0,
+                f"{100.0 * diff.relative_error:+.2f}",
+            ]
+            for record, measured, diff in analysis.pairs
+        ]
+        headers = columns("application", "platform", "P", "Htile")
+        headers += ["model (ms)", "measured (ms)", "error (%)"]
+        summary = analysis.summary
+        lines += [
+            f"## Model vs measurement (baseline: {analysis.baseline})",
+            "",
+            format_markdown(headers, rows),
+            "",
+            f"Across {len(rows)} configuration(s): max |error| "
+            f"{100.0 * summary.max_error:.2f}%, mean |error| "
+            f"{100.0 * summary.mean_error:.2f}%.",
+        ]
+        for app in sorted({diff.application for diff in summary.results}):
+            app_summary = summary.by_application(app)
             lines.append(
-                f"Across {len(rows)} configuration(s): max |error| "
-                f"{100.0 * summary.max_error:.2f}%, mean |error| "
-                f"{100.0 * summary.mean_error:.2f}%."
+                f"- {app}: max |error| {100.0 * app_summary.max_error:.2f}%, "
+                f"mean |error| {100.0 * app_summary.mean_error:.2f}% over "
+                f"{len(app_summary.results)} configuration(s)"
             )
-            for app in sorted({diff.application for _, _, diff in rows}):
-                app_summary = summary.by_application(app)
-                lines.append(
-                    f"- {app}: max |error| {100.0 * app_summary.max_error:.2f}%, "
-                    f"mean |error| {100.0 * app_summary.mean_error:.2f}% over "
-                    f"{len(app_summary.results)} configuration(s)"
-                )
-            lines.append("")
+        lines.append("")
 
-    scaling = _scaling_groups(records)
-    if scaling:
+    if analysis.scaling:
         lines += ["## Strong scaling (Figure 6 view)", ""]
-        for key, members in scaling:
-            app, platform, backend, htile, seed = key[:5]
+        headers = ["P", "time/time-step (s)", "total time (days)", "comm fraction"]
+        for (app, platform, backend, htile, seed, *_), members in analysis.scaling:
             title = f"### {app} on {platform} - {backend}"
             if htile is not None:
                 title += f", Htile={htile:g}"
-            if seed is not None:
-                title += f", seed={seed}"
-            scenario = _scenario_cell(members[0]["point"])
-            if scenario != "-":
-                title += f" [{scenario}]"
-            table = Table(["P", "time/time-step (s)", "total time (days)", "comm fraction"])
-            for member in members:
-                result = member["result"]
-                table.add_row(
-                    result["processors"],
-                    result["time_per_time_step_s"],
-                    result["total_time_days"],
-                    result["communication_fraction"],
+            rows = [
+                (
+                    m["result"]["processors"],
+                    m["result"]["time_per_time_step_s"],
+                    m["result"]["total_time_days"],
+                    m["result"]["communication_fraction"],
                 )
-            lines += [title, "", table.render_markdown(), ""]
+                for m in members
+            ]
+            lines += [_curve_title(title, seed, members), "", format_markdown(headers, rows), ""]
 
-    htile_sweeps = _htile_groups(records)
-    if htile_sweeps:
+    if analysis.htile_sweeps:
         lines += ["## Htile sweeps (Figure 5 view)", ""]
-        for key, members in htile_sweeps:
-            app, platform, backend, cores, seed = key[:5]
+        headers = ["Htile", "time/time-step (s)", "fill fraction", "comm fraction"]
+        for (app, platform, backend, cores, seed, *_), members in analysis.htile_sweeps:
             title = f"### {app} on {platform}, P={cores} - {backend}"
-            if seed is not None:
-                title += f", seed={seed}"
-            scenario = _scenario_cell(members[0]["point"])
-            if scenario != "-":
-                title += f" [{scenario}]"
-            table = Table(["Htile", "time/time-step (s)", "fill fraction", "comm fraction"])
-            best = min(members, key=lambda r: r["result"]["time_per_time_step_s"])
-            for member in members:
-                result = member["result"]
-                fill = result.get("pipeline_fill_fraction")
-                table.add_row(
-                    member["point"]["htile"],
-                    result["time_per_time_step_s"],
-                    "-" if fill is None else fill,
-                    result["communication_fraction"],
+            rows = [
+                (
+                    m["point"]["htile"],
+                    m["result"]["time_per_time_step_s"],
+                    _dash(m["result"].get("pipeline_fill_fraction")),
+                    m["result"]["communication_fraction"],
                 )
+                for m in members
+            ]
+            best = min(members, key=lambda m: m["result"]["time_per_time_step_s"])
             lines += [
-                title,
+                _curve_title(title, seed, members),
                 "",
-                table.render_markdown(),
+                format_markdown(headers, rows),
                 "",
                 f"Optimal Htile: {best['point']['htile']:g}",
                 "",
             ]
 
-    optima = _optima_groups(records)
-    if optima:
+    if analysis.optima:
         lines += [
             "## Design optima (optimizer view)",
             "",
@@ -432,9 +433,7 @@ def campaign_report(store: Union[str, Path, ResultStore]) -> str:
             + ") group - the question `wavebench optimize` answers directly.",
             "",
         ]
-        headers = ["application", "backend", "P"]
-        if with_seeds:
-            headers.append("seed")
+        headers = ["application", "backend", "P"] + (["seed"] if with_seeds else [])
         headers += [
             "best platform",
             "best Htile",
@@ -442,28 +441,138 @@ def campaign_report(store: Union[str, Path, ResultStore]) -> str:
             "time/time-step (s)",
             "designs compared",
         ]
-        table = Table(headers)
-        for (app, backend, cores, seed), best, compared in optima:
-            point, result = best["point"], best["result"]
-            row = [app, backend, cores]
-            if with_seeds:
-                row.append("-" if seed is None else seed)
+        rows = []
+        for (app, backend, cores, seed), best, compared in analysis.optima:
+            row = [app, backend, cores] + ([_dash(seed)] if with_seeds else [])
             row += [
-                point["platform"],
-                _htile_cell(point.get("htile")),
-                _scenario_cell(point),
-                result["time_per_time_step_s"],
+                best["point"]["platform"],
+                _dash(best["point"].get("htile")),
+                best["scenario"],
+                best["result"]["time_per_time_step_s"],
                 compared,
             ]
-            table.add_row(*row)
-        lines += [table.render_markdown(), ""]
+            rows.append(row)
+        lines += [format_markdown(headers, rows), ""]
 
     return "\n".join(lines).rstrip("\n") + "\n"
 
 
-def _write(path: Path, text: str, written: list[Path]) -> None:
-    path.write_text(text, encoding="utf-8")
-    written.append(path)
+def _results_rows(records: list[Record]) -> Iterator[tuple]:
+    for record in records:
+        point, result = record["point"], record["result"]
+        yield (
+            result["application"],
+            result["platform"],
+            result["processors"],
+            result["grid"],
+            result["cores_per_node"],
+            _blank(point.get("htile")),
+            _blank(record["scenario"]),
+            point["backend"],
+            _blank(point.get("noise_seed")),
+            result["time_per_iteration_us"],
+            result["computation_per_iteration_us"],
+            result["time_per_time_step_s"],
+            result["total_time_days"],
+            result["computation_fraction"],
+            result["communication_fraction"],
+            _blank(result.get("pipeline_fill_fraction")),
+        )
+
+
+def _csv_files(analysis: _Analysis) -> Iterator[tuple[str, str, Iterable[tuple]]]:
+    """``(file name, header, rows)`` for every CSV data file with rows.
+
+    Floats are written with ``repr`` (the :mod:`csv` module's rule), so the
+    figure data round-trips at full precision.
+    """
+    if analysis.records:
+        yield "results.csv", (
+            "application platform total_cores grid cores_per_node htile scenario "
+            "backend noise_seed time_per_iteration_us computation_per_iteration_us "
+            "time_per_time_step_s total_time_days computation_fraction "
+            "communication_fraction pipeline_fill_fraction"
+        ), _results_rows(analysis.records)
+    if analysis.pairs:
+        yield "validation.csv", (
+            "application platform total_cores htile scenario backend noise_seed "
+            "model_us measured_us relative_error"
+        ), (
+            (
+                diff.application,
+                diff.platform,
+                diff.total_cores,
+                _blank(record["point"].get("htile")),
+                _blank(record["scenario"]),
+                record["point"]["backend"],
+                _blank(_pair_seed(record, measured)),
+                diff.model_us,
+                diff.simulated_us,
+                diff.relative_error,
+            )
+            for record, measured, diff in analysis.pairs
+        )
+    if analysis.scaling:
+        yield "figure6_scaling.csv", (
+            "application platform backend htile scenario total_cores "
+            "time_per_time_step_s total_time_days communication_fraction"
+        ), (
+            (
+                app,
+                platform,
+                backend,
+                _blank(htile),
+                _blank(member["scenario"]),
+                member["result"]["processors"],
+                member["result"]["time_per_time_step_s"],
+                member["result"]["total_time_days"],
+                member["result"]["communication_fraction"],
+            )
+            for (app, platform, backend, htile, *_), members in analysis.scaling
+            for member in members
+        )
+    if analysis.htile_sweeps:
+        yield "figure5_htile.csv", (
+            "application platform backend total_cores scenario htile "
+            "time_per_time_step_s pipeline_fill_fraction communication_fraction"
+        ), (
+            (
+                app,
+                platform,
+                backend,
+                cores,
+                _blank(member["scenario"]),
+                member["point"]["htile"],
+                member["result"]["time_per_time_step_s"],
+                _blank(member["result"].get("pipeline_fill_fraction")),
+                member["result"]["communication_fraction"],
+            )
+            for (app, platform, backend, cores, *_), members in analysis.htile_sweeps
+            for member in members
+        )
+
+
+def campaign_report(store: Union[str, Path, ResultStore]) -> str:
+    """Render the campaign's Markdown report from its result store.
+
+    The store's header supplies the campaign definition, so the store path
+    is all that is needed (``wavebench campaign report --store PATH``).  The
+    output is deterministic: records are sorted by configuration and then
+    by content hash, floats are formatted with fixed precision, and nothing
+    run-specific (paths, timestamps) is included - an
+    interrupted-then-resumed campaign renders byte-identically to an
+    uninterrupted one.
+
+    >>> import tempfile, os
+    >>> from repro.campaigns.spec import CampaignSpec
+    >>> from repro.campaigns.runner import run_campaign
+    >>> spec = CampaignSpec(name="doc", apps=("lu-classA",), total_cores=(4,))
+    >>> store_path = os.path.join(tempfile.mkdtemp(), "doc.jsonl")
+    >>> _ = run_campaign(spec, store=store_path)
+    >>> campaign_report(store_path).splitlines()[0]
+    '# Campaign report: doc'
+    """
+    return _markdown(_analyse(as_store(store)))
 
 
 def write_report(
@@ -479,10 +588,11 @@ def write_report(
     * ``figure6_scaling.csv`` - the strong-scaling curve data;
     * ``figure5_htile.csv`` - the Htile sweep data.
 
-    Returns the list of paths written, in a fixed order.  Report files from
-    a previous render of the same directory that would not be emitted this
-    time (e.g. ``validation.csv`` after the baseline backend was dropped)
-    are deleted, so the directory always reflects exactly one store state.
+    The store is read and analysed once for all of them.  Returns the list
+    of paths written, in a fixed order.  Report files from a previous
+    render of the same directory that would not be emitted this time (e.g.
+    ``validation.csv`` after the baseline backend was dropped) are deleted,
+    so the directory always reflects exactly one store state.
 
     >>> import tempfile, os
     >>> from repro.campaigns.spec import CampaignSpec
@@ -494,173 +604,24 @@ def write_report(
     >>> [path.name for path in write_report(store_path, out_dir)]
     ['report.md', 'results.csv', 'figure6_scaling.csv']
     """
-    store = as_store(store)
+    analysis = _analyse(as_store(store))
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
 
-    _write(out / "report.md", campaign_report(store), written)
-
-    records = _sorted_records(store)
-    if records:
-        table = Table(
-            [
-                "application",
-                "platform",
-                "total_cores",
-                "grid",
-                "cores_per_node",
-                "htile",
-                "scenario",
-                "backend",
-                "noise_seed",
-                "time_per_iteration_us",
-                "computation_per_iteration_us",
-                "time_per_time_step_s",
-                "total_time_days",
-                "computation_fraction",
-                "communication_fraction",
-                "pipeline_fill_fraction",
-            ]
-        )
-        for record in records:
-            point, result = record["point"], record["result"]
-            fill = result.get("pipeline_fill_fraction")
-            table.add_row(
-                result["application"],
-                result["platform"],
-                result["processors"],
-                result["grid"],
-                result["cores_per_node"],
-                "" if point.get("htile") is None else point["htile"],
-                "" if _scenario_cell(point) == "-" else _scenario_cell(point),
-                point["backend"],
-                "" if point.get("noise_seed") is None else point["noise_seed"],
-                result["time_per_iteration_us"],
-                result["computation_per_iteration_us"],
-                result["time_per_time_step_s"],
-                result["total_time_days"],
-                result["computation_fraction"],
-                result["communication_fraction"],
-                "" if fill is None else fill,
-            )
-        _write(out / "results.csv", table.render_csv(), written)
-
-    spec = _spec_from_store(store)
-    baseline = _resolve_baseline(spec, records)
-    if baseline is not None:
-        rows, _ = _validation_rows(records, baseline)
-        if rows:
-            table = Table(
-                [
-                    "application",
-                    "platform",
-                    "total_cores",
-                    "htile",
-                    "scenario",
-                    "backend",
-                    "noise_seed",
-                    "model_us",
-                    "measured_us",
-                    "relative_error",
-                ]
-            )
-            for record, measured, diff in rows:
-                point = record["point"]
-                seed = _pair_seed(record, measured)
-                table.add_row(
-                    diff.application,
-                    diff.platform,
-                    diff.total_cores,
-                    "" if point.get("htile") is None else point["htile"],
-                    "" if _scenario_cell(point) == "-" else _scenario_cell(point),
-                    point["backend"],
-                    "" if seed == "-" else seed,
-                    diff.model_us,
-                    diff.simulated_us,
-                    diff.relative_error,
-                )
-            _write(out / "validation.csv", table.render_csv(), written)
-
-    scaling = _scaling_groups(records)
-    if scaling:
-        table = Table(
-            [
-                "application",
-                "platform",
-                "backend",
-                "htile",
-                "scenario",
-                "total_cores",
-                "time_per_time_step_s",
-                "total_time_days",
-                "communication_fraction",
-            ]
-        )
-        for key, members in scaling:
-            app, platform, backend, htile, _seed = key[:5]
-            scenario = _scenario_cell(members[0]["point"])
-            for member in members:
-                result = member["result"]
-                table.add_row(
-                    app,
-                    platform,
-                    backend,
-                    "" if htile is None else htile,
-                    "" if scenario == "-" else scenario,
-                    result["processors"],
-                    result["time_per_time_step_s"],
-                    result["total_time_days"],
-                    result["communication_fraction"],
-                )
-        _write(out / "figure6_scaling.csv", table.render_csv(), written)
-
-    htile_sweeps = _htile_groups(records)
-    if htile_sweeps:
-        table = Table(
-            [
-                "application",
-                "platform",
-                "backend",
-                "total_cores",
-                "scenario",
-                "htile",
-                "time_per_time_step_s",
-                "pipeline_fill_fraction",
-                "communication_fraction",
-            ]
-        )
-        for key, members in htile_sweeps:
-            app, platform, backend, cores, _seed = key[:5]
-            scenario = _scenario_cell(members[0]["point"])
-            for member in members:
-                result = member["result"]
-                fill = result.get("pipeline_fill_fraction")
-                table.add_row(
-                    app,
-                    platform,
-                    backend,
-                    cores,
-                    "" if scenario == "-" else scenario,
-                    member["point"]["htile"],
-                    result["time_per_time_step_s"],
-                    "" if fill is None else fill,
-                    result["communication_fraction"],
-                )
-        _write(out / "figure5_htile.csv", table.render_csv(), written)
+    written = [out / "report.md"]
+    written[0].write_text(_markdown(analysis), encoding="utf-8")
+    for name, header, rows in _csv_files(analysis):
+        path = out / name
+        with path.open("w", encoding="utf-8") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(header.split())
+            writer.writerows(rows)
+        written.append(path)
 
     # Drop report files left behind by a previous render that this render
     # did not produce, so the directory never mixes two store states.
-    all_outputs = {
-        "report.md",
-        "results.csv",
-        "validation.csv",
-        "figure6_scaling.csv",
-        "figure5_htile.csv",
-    }
-    for name in sorted(all_outputs - {path.name for path in written}):
+    for name in sorted(set(_OUTPUTS) - {path.name for path in written}):
         stale = out / name
         if stale.exists():
             stale.unlink()
-
     return written

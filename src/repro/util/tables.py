@@ -57,26 +57,6 @@ def format_markdown(
     return "\n".join(lines)
 
 
-def format_csv(headers: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
-    """Render ``rows`` as CSV text (trailing newline included).
-
-    Floats keep full precision (``repr``) so figure data files round-trip;
-    everything else uses ``str``.
-
-    >>> format_csv(["P", "days"], [[1024, 0.5]])
-    'P,days\\n1024,0.5\\n'
-    """
-    import csv
-    import io
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(list(headers))
-    for row in rows:
-        writer.writerow([repr(c) if isinstance(c, float) else str(c) for c in row])
-    return buffer.getvalue()
-
-
 def format_table(
     headers: Sequence[str],
     rows: Iterable[Sequence[Any]],
@@ -140,20 +120,6 @@ class Table:
         return format_table(
             self.headers, self.rows, precision=self.precision, title=self.title
         )
-
-    def render_markdown(self) -> str:
-        """The table as GitHub-flavoured Markdown (title omitted).
-
-        >>> t = Table(["P", "time"], title="scaling")
-        >>> t.add_row(16, 1.0)
-        >>> t.render_markdown().splitlines()[0]
-        '| P | time |'
-        """
-        return format_markdown(self.headers, self.rows, precision=self.precision)
-
-    def render_csv(self) -> str:
-        """The table as CSV text (full-precision floats)."""
-        return format_csv(self.headers, self.rows)
 
     def __len__(self) -> int:
         return len(self.rows)

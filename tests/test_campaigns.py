@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import logging
 from dataclasses import dataclass, replace
@@ -741,6 +742,60 @@ class TestOneKeyPerPoint:
         assert len(key_calls) == 6
 
 
+@pytest.fixture
+def record_reads(monkeypatch):
+    """Counts every record :class:`ResultStore` decodes through ``records``
+    or ``get`` in this process."""
+    reads = []
+    records, get = ResultStore.records, ResultStore.get
+
+    def counted_records(store):
+        for record in records(store):
+            reads.append(record["key"])
+            yield record
+
+    def counted_get(store, key):
+        record = get(store, key)
+        if record is not None:
+            reads.append(key)
+        return record
+
+    monkeypatch.setattr(ResultStore, "records", counted_records)
+    monkeypatch.setattr(ResultStore, "get", counted_get)
+    return reads
+
+
+class TestOneReadPerRecord:
+    @pytest.mark.parametrize("with_baseline", [False, True])
+    def test_write_report_reads_each_record_once(
+        self, tmp_path, counting_backend, record_reads, with_baseline
+    ):
+        spec = CampaignSpec(
+            name="reads",
+            apps=("lu-classA",),
+            total_cores=(4, 16),
+            htiles=(1.0, 2.0),
+            backends=("counting-analytic", "analytic-fast"),
+            baseline="analytic-fast" if with_baseline else None,
+        )
+        store_path = tmp_path / "reads.store"
+        run_campaign(spec, store=store_path)
+        store = ResultStore(store_path)
+        record_reads.clear()
+        written = write_report(store, tmp_path / "out")
+        assert len(written) == (5 if with_baseline else 4)
+        assert sorted(record_reads) == sorted(store.keys())
+
+    def test_campaign_report_reads_each_record_once(
+        self, tmp_path, counting_backend, small_spec, record_reads
+    ):
+        store_path = tmp_path / "small.store"
+        run_campaign(small_spec, store=store_path)
+        record_reads.clear()
+        campaign_report(store_path)
+        assert len(record_reads) == len(small_spec.points())
+
+
 # -- sharded fan-out -------------------------------------------------------------------
 
 
@@ -841,6 +896,17 @@ class TestShardedRunner:
 
 
 # -- report ----------------------------------------------------------------------------
+
+#: Two fault models over deterministic backends: each analytic-fast point
+#: has exactly one analytic-exact twin, the one with its fault model.
+_TWO_FAULT_MODELS = CampaignSpec(
+    name="two-fault-models",
+    apps=("lu-classA",),
+    total_cores=(4, 16),
+    backends=("analytic-fast", "analytic-exact"),
+    baseline="analytic-exact",
+    fault_models=("none", "mtbf:1e8/repair:1e6/restart:1e5/interval:1e6/dump:5e3"),
+)
 
 
 class TestReport:
@@ -950,6 +1016,48 @@ class TestReport:
         write_report(store_b, out)
         assert not (out / "validation.csv").exists()  # stale file dropped
         assert (out / "report.md").exists()
+
+    def test_fault_models_pair_only_with_their_own_baseline(self, tmp_path):
+        store_path = tmp_path / "faults.store"
+        run_campaign(_TWO_FAULT_MODELS, store=store_path)
+        write_report(store_path, tmp_path / "out")
+        with (tmp_path / "out" / "validation.csv").open(newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        pairs = [(row["total_cores"], row["scenario"]) for row in rows]
+        assert sorted(pairs) == sorted(
+            (str(cores), f"fault_model={fault}" if fault else "")
+            for cores in _TWO_FAULT_MODELS.total_cores
+            for fault in ("", _TWO_FAULT_MODELS.fault_models[1])
+        )
+        assert all(float(row["relative_error"]) == 0.0 for row in rows)
+        assert "Across 4 configuration(s)" in campaign_report(store_path)
+
+    def test_report_is_independent_of_store_write_order(self, tmp_path):
+        """The same records written in reverse order render the same files.
+
+        Besides the campaign's own records, two fault-seed replicas of one
+        measurement differ only in a field no sorted column shows; their keys
+        put them in one segment, where the store reads back in write order.
+        """
+        source_path = tmp_path / "source.store"
+        run_campaign(_TWO_FAULT_MODELS, store=source_path)
+        items = [(record["key"], record) for record in ResultStore(source_path).records()]
+        measured = next(r for _, r in items if r["point"]["backend"] == "analytic-exact")
+        for seed, key in enumerate(("a000000000000001", "a000000000000002")):
+            result = dict(measured["result"])
+            result["time_per_iteration_us"] *= 1 + seed
+            items.append((key, {"point": dict(measured["point"], fault_seed=seed), "result": result}))
+
+        rendered = []
+        for order, ordered in (("forward", items), ("reverse", items[::-1])):
+            store = ResultStore(tmp_path / f"{order}.store")
+            store.set_spec(_TWO_FAULT_MODELS.to_dict())
+            for key, record in ordered:
+                store.put(key, record)
+            store.close()
+            written = write_report(tmp_path / f"{order}.store", tmp_path / f"{order}-out")
+            rendered.append({path.name: path.read_bytes() for path in written})
+        assert rendered[0] == rendered[1]
 
 
 # -- built-ins -------------------------------------------------------------------------
