@@ -16,8 +16,8 @@ declared under the ``[fast]`` extra:
 Nothing else imports numpy, and every ``wavebench`` subcommand but
 ``workrate`` runs without it.  ``tests/test_model_vec.py`` pins this by
 running the CLI and a mixed batch in an interpreter where numpy cannot be
-imported, and the CI ``no-numpy`` job runs the model, conformance and CLI
-suites without numpy installed.
+imported, and the CI ``no-numpy`` job runs the model, conformance, CLI and
+simulator-pin suites without numpy installed.
 """
 
 from setuptools import find_packages, setup

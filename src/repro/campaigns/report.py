@@ -50,6 +50,10 @@ __all__ = ["campaign_report", "write_report"]
 #: The scenario fields a point may carry (heterogeneity and fault campaigns).
 _SCENARIO_FIELDS = ("placement", "speed_profile", "noise_model", "fault_model")
 
+#: The seed fields of a simulator replica, and their Markdown column labels.
+_SEED_FIELDS = ("noise_seed", "fault_seed")
+_SEED_LABELS = ("seed", "fault seed")
+
 #: Every file :func:`write_report` can emit, in the order it writes them.
 _OUTPUTS = (
     "report.md",
@@ -88,6 +92,7 @@ def _sort_key(record: Record) -> tuple:
         record["scenario"],
         point["backend"],
         -1 if point.get("noise_seed") is None else int(point["noise_seed"]),
+        -1 if point.get("fault_seed") is None else int(point["fault_seed"]),
         record["key"],
     )
 
@@ -162,10 +167,22 @@ def _validation_pairs(records: list[Record], baseline: str) -> list[Pair]:
     return pairs
 
 
-def _pair_seed(record: Record, measured: Record) -> Optional[int]:
-    """The seed identifying a validation pairing (whichever side has one)."""
-    seed = record["point"].get("noise_seed")
-    return measured["point"].get("noise_seed") if seed is None else seed
+def _seeds(point: dict[str, Any]) -> tuple[Optional[int], Optional[int]]:
+    """The point's noise and fault seeds (``None`` where it has none)."""
+    return point.get("noise_seed"), point.get("fault_seed")
+
+
+def _shown(values: Iterable, seeded: tuple[bool, ...]) -> list:
+    """``values``, one per seed field, kept where ``seeded`` shows that field."""
+    return [value for value, show in zip(values, seeded) if show]
+
+
+def _pair_seeds(record: Record, measured: Record) -> tuple[Optional[int], ...]:
+    """The seeds identifying a validation pairing (whichever side has each)."""
+    return tuple(
+        theirs if ours is None else ours
+        for ours, theirs in zip(_seeds(record["point"]), _seeds(measured["point"]))
+    )
 
 
 def _curve_groups(records: list[Record], axis: str, held: tuple[str, ...]) -> list[Curve]:
@@ -188,25 +205,31 @@ def _curve_groups(records: list[Record], axis: str, held: tuple[str, ...]) -> li
 
 
 def _optima_groups(records: list[Record]) -> list[tuple[tuple, Record, int]]:
-    """Per (app, backend, P[, seed]) group: the record minimising execution time.
+    """Per (app, backend, P[, seeds]) group: the record minimising execution time.
 
     Only groups offering an actual design choice - at least two distinct
     (platform, Htile, scenario) configurations at the same core count - are
     reported; the winner row is what the ``optimization-study`` campaign
-    uses to restate the paper's configuration conclusions.  Noisy-simulator
-    replicas are grouped per seed (a seed column is rendered whenever any
-    record carries one), so a lucky replica never masquerades as a better
-    design.
+    uses to restate the paper's configuration conclusions.  Simulator
+    replicas are grouped per noise seed and per fault seed (a column for
+    each is rendered whenever any record carries one), so a lucky replica
+    never masquerades as a better design.
     """
     groups: dict[tuple, list[Record]] = {}
     for record in records:
         point = record["point"]
-        key = (point["app"], point["backend"], point["total_cores"], point.get("noise_seed"))
+        key = (
+            point["app"],
+            point["backend"],
+            point["total_cores"],
+            point.get("noise_seed"),
+            point.get("fault_seed"),
+        )
         groups.setdefault(key, []).append(record)
 
     def order(item: tuple) -> tuple:
-        app, backend, cores, seed = item[0]
-        return (app, backend, cores, -1 if seed is None else int(seed))
+        app, backend, cores, *seeds = item[0]
+        return (app, backend, cores, *(-1 if seed is None else int(seed) for seed in seeds))
 
     optima = []
     for key, members in sorted(groups.items(), key=order):
@@ -225,12 +248,15 @@ class _Analysis:
 
     Each record carries its rendered scenario cell under ``"scenario"``.
     ``missing`` of the spec's ``points`` are absent from the store.
+    ``seeded`` says, per :data:`_SEED_FIELDS` entry, whether any record
+    carries that seed.
     """
 
     spec: Optional[CampaignSpec]
     missing: int
     points: int
     records: list[Record]
+    seeded: tuple[bool, ...]
     baseline: Optional[str]
     pairs: list[Pair]
     summary: ValidationSummary
@@ -259,34 +285,46 @@ def _analyse(store: ResultStore) -> _Analysis:
         missing=missing,
         points=points,
         records=records,
+        seeded=tuple(
+            any(r["point"].get(name) is not None for r in records) for name in _SEED_FIELDS
+        ),
         baseline=baseline,
         pairs=pairs,
         summary=ValidationSummary(results=tuple(diff for _, _, diff in pairs)),
         scaling=_curve_groups(
             records,
             "total_cores",
-            ("app", "platform", "backend", "htile", "noise_seed") + _SCENARIO_FIELDS,
+            ("app", "platform", "backend", "htile") + _SEED_FIELDS + _SCENARIO_FIELDS,
         ),
         htile_sweeps=_curve_groups(
             [r for r in records if r["point"].get("htile") is not None],
             "htile",
-            ("app", "platform", "backend", "total_cores", "noise_seed") + _SCENARIO_FIELDS,
+            ("app", "platform", "backend", "total_cores") + _SEED_FIELDS + _SCENARIO_FIELDS,
         ),
         optima=_optima_groups(records),
     )
 
 
-def _curve_title(title: str, seed: Optional[int], members: list[Record]) -> str:
-    if seed is not None:
-        title += f", seed={seed}"
+def _curve_title(title: str, held: list, members: list[Record]) -> str:
+    """``title`` with the curve's seeds and scenario.
+
+    ``held`` is the rest of the curve's key after its four named fields:
+    the seed fields, then the scenario fields.
+    """
+    for label, seed in zip(_SEED_LABELS, held):
+        if seed is not None:
+            title += f", {label}={seed}"
     scenario = members[0]["scenario"]
     return title if scenario == "-" else f"{title} [{scenario}]"
 
 
 def _markdown(analysis: _Analysis) -> str:
     spec, records = analysis.spec, analysis.records
-    with_seeds = any(r["point"].get("noise_seed") is not None for r in records)
     with_scenarios = any(r["scenario"] != "-" for r in records)
+    seed_columns = _shown(_SEED_LABELS, analysis.seeded)
+
+    def seed_cells(seeds: Iterable) -> list:
+        return [_dash(seed) for seed in _shown(seeds, analysis.seeded)]
 
     def columns(*head: str) -> list[str]:
         """``head``, then the scenario, backend and seed columns in use."""
@@ -294,16 +332,20 @@ def _markdown(analysis: _Analysis) -> str:
             list(head)
             + (["scenario"] if with_scenarios else [])
             + ["backend"]
-            + (["seed"] if with_seeds else [])
+            + seed_columns
         )
 
-    def cells(record: Record, seed: Optional[int]) -> list:
-        """The record's cells under the scenario, backend and seed columns."""
-        return (
-            ([record["scenario"]] if with_scenarios else [])
-            + [record["point"]["backend"]]
-            + ([_dash(seed)] if with_seeds else [])
-        )
+    def cells(record: Record, measured: Optional[Record] = None) -> list:
+        """The record's cells under the scenario, backend and seed columns.
+
+        A validation pairing passes its ``measured`` record too, and takes
+        each seed from whichever side has one.
+        """
+        row = ([record["scenario"]] if with_scenarios else []) + [record["point"]["backend"]]
+        if seed_columns:
+            seeds = _seeds(record["point"]) if measured is None else _pair_seeds(record, measured)
+            row += seed_cells(seeds)
+        return row
 
     name = spec.name if spec is not None else "(unnamed campaign)"
     lines = [f"# Campaign report: {name}", ""]
@@ -337,7 +379,7 @@ def _markdown(analysis: _Analysis) -> str:
                 result["processors"],
                 result["grid"],
                 _dash(point.get("htile")),
-                *cells(record, point.get("noise_seed")),
+                *cells(record),
                 result["time_per_iteration_us"] / 1000.0,
                 result["time_per_time_step_s"],
                 result["communication_fraction"],
@@ -354,7 +396,7 @@ def _markdown(analysis: _Analysis) -> str:
                 diff.platform,
                 diff.total_cores,
                 _dash(record["point"].get("htile")),
-                *cells(record, _pair_seed(record, measured)),
+                *cells(record, measured),
                 diff.model_us / 1000.0,
                 diff.simulated_us / 1000.0,
                 f"{100.0 * diff.relative_error:+.2f}",
@@ -385,7 +427,7 @@ def _markdown(analysis: _Analysis) -> str:
     if analysis.scaling:
         lines += ["## Strong scaling (Figure 6 view)", ""]
         headers = ["P", "time/time-step (s)", "total time (days)", "comm fraction"]
-        for (app, platform, backend, htile, seed, *_), members in analysis.scaling:
+        for (app, platform, backend, htile, *held), members in analysis.scaling:
             title = f"### {app} on {platform} - {backend}"
             if htile is not None:
                 title += f", Htile={htile:g}"
@@ -398,12 +440,12 @@ def _markdown(analysis: _Analysis) -> str:
                 )
                 for m in members
             ]
-            lines += [_curve_title(title, seed, members), "", format_markdown(headers, rows), ""]
+            lines += [_curve_title(title, held, members), "", format_markdown(headers, rows), ""]
 
     if analysis.htile_sweeps:
         lines += ["## Htile sweeps (Figure 5 view)", ""]
         headers = ["Htile", "time/time-step (s)", "fill fraction", "comm fraction"]
-        for (app, platform, backend, cores, seed, *_), members in analysis.htile_sweeps:
+        for (app, platform, backend, cores, *held), members in analysis.htile_sweeps:
             title = f"### {app} on {platform}, P={cores} - {backend}"
             rows = [
                 (
@@ -416,7 +458,7 @@ def _markdown(analysis: _Analysis) -> str:
             ]
             best = min(members, key=lambda m: m["result"]["time_per_time_step_s"])
             lines += [
-                _curve_title(title, seed, members),
+                _curve_title(title, held, members),
                 "",
                 format_markdown(headers, rows),
                 "",
@@ -429,11 +471,11 @@ def _markdown(analysis: _Analysis) -> str:
             "## Design optima (optimizer view)",
             "",
             "Best stored configuration per (application, backend, core count"
-            + (", seed" if with_seeds else "")
+            + "".join(f", {label}" for label in seed_columns)
             + ") group - the question `wavebench optimize` answers directly.",
             "",
         ]
-        headers = ["application", "backend", "P"] + (["seed"] if with_seeds else [])
+        headers = ["application", "backend", "P"] + seed_columns
         headers += [
             "best platform",
             "best Htile",
@@ -442,8 +484,8 @@ def _markdown(analysis: _Analysis) -> str:
             "designs compared",
         ]
         rows = []
-        for (app, backend, cores, seed), best, compared in analysis.optima:
-            row = [app, backend, cores] + ([_dash(seed)] if with_seeds else [])
+        for (app, backend, cores, *seeds), best, compared in analysis.optima:
+            row = [app, backend, cores] + seed_cells(seeds)
             row += [
                 best["point"]["platform"],
                 _dash(best["point"].get("htile")),
@@ -457,7 +499,7 @@ def _markdown(analysis: _Analysis) -> str:
     return "\n".join(lines).rstrip("\n") + "\n"
 
 
-def _results_rows(records: list[Record]) -> Iterator[tuple]:
+def _results_rows(records: list[Record], fault_seeds: bool) -> Iterator[tuple]:
     for record in records:
         point, result = record["point"], record["result"]
         yield (
@@ -470,6 +512,7 @@ def _results_rows(records: list[Record]) -> Iterator[tuple]:
             _blank(record["scenario"]),
             point["backend"],
             _blank(point.get("noise_seed")),
+            *((_blank(point.get("fault_seed")),) if fault_seeds else ()),
             result["time_per_iteration_us"],
             result["computation_per_iteration_us"],
             result["time_per_time_step_s"],
@@ -484,18 +527,22 @@ def _csv_files(analysis: _Analysis) -> Iterator[tuple[str, str, Iterable[tuple]]
     """``(file name, header, rows)`` for every CSV data file with rows.
 
     Floats are written with ``repr`` (the :mod:`csv` module's rule), so the
-    figure data round-trips at full precision.
+    figure data round-trips at full precision.  ``noise_seed`` is always a
+    column; ``fault_seed`` only when some record carries a fault seed.
     """
+    fault_seeds = analysis.seeded[1]
+    shown = (True, fault_seeds)
+    seed_header = " ".join(_shown(_SEED_FIELDS, shown))
     if analysis.records:
         yield "results.csv", (
             "application platform total_cores grid cores_per_node htile scenario "
-            "backend noise_seed time_per_iteration_us computation_per_iteration_us "
+            f"backend {seed_header} time_per_iteration_us computation_per_iteration_us "
             "time_per_time_step_s total_time_days computation_fraction "
             "communication_fraction pipeline_fill_fraction"
-        ), _results_rows(analysis.records)
+        ), _results_rows(analysis.records, fault_seeds)
     if analysis.pairs:
         yield "validation.csv", (
-            "application platform total_cores htile scenario backend noise_seed "
+            f"application platform total_cores htile scenario backend {seed_header} "
             "model_us measured_us relative_error"
         ), (
             (
@@ -505,7 +552,7 @@ def _csv_files(analysis: _Analysis) -> Iterator[tuple[str, str, Iterable[tuple]]
                 _blank(record["point"].get("htile")),
                 _blank(record["scenario"]),
                 record["point"]["backend"],
-                _blank(_pair_seed(record, measured)),
+                *map(_blank, _shown(_pair_seeds(record, measured), shown)),
                 diff.model_us,
                 diff.simulated_us,
                 diff.relative_error,

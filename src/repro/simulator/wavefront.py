@@ -26,11 +26,20 @@ data-dependency barrier with no cost of its own); ``DIAG`` and ``NONE``
 hand-offs are enforced naturally by each rank processing its sweeps in
 program order, because the successor sweep originates at the corner where
 the gating completion happens.
+
+Rank programs build their operations once, not once per tile.  A sweep's
+``Recv`` and ``Send`` operations are built when the sweep starts.  Unless
+a stochastic noise model draws a fresh factor for every tile, the ``pre``
+and ``tile`` ``Compute`` operations are built once per program too, and a
+tile is one prebuilt tuple yielded ``tiles`` times.  Operations are frozen
+values that the machine only reads, so it sees the same sequence, value
+for value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from random import Random
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -41,7 +50,7 @@ from repro.apps.base import (
     StencilNonWavefront,
     WavefrontSpec,
 )
-from repro.core.decomposition import CoreMapping, Corner, ProcessorGrid, decompose
+from repro.core.decomposition import CoreMapping, ProcessorGrid, decompose
 from repro.core.hetero import NoiseModel, SampledNoise, chip_index_of, node_index_of
 from repro.core.loggp import Platform
 from repro.core.multicore import resolve_core_mapping
@@ -99,11 +108,6 @@ class WavefrontSimulationResult:
     @property
     def total_processors(self) -> int:
         return self.grid.total_processors
-
-
-def _corner_directions(grid: ProcessorGrid, origin: Corner) -> Tuple[int, int, int, int]:
-    """Return ``(oi, oj, dx, dy)``: origin coordinates and sweep direction."""
-    return grid.sweep_directions(origin)
 
 
 class WavefrontSimulator:
@@ -277,42 +281,54 @@ class WavefrontSimulator:
         phases = spec.schedule.phases
         jitter = self.rank_jitter_stream(rank)
         noise = self.noise_model
+        tiles = self._tiles
 
         def work(amount: float) -> float:
             if noise is None:
                 return amount
             return amount * noise.factor(jitter)
 
+        # Without a jitter stream every tile computes for the same time, so
+        # its Compute operations are built once for the whole program.
+        steady = jitter is None
+        pre: Tuple[Op, ...] = ()
+        if steady and self._wpre > 0.0:
+            pre = (Compute(work(self._wpre), label="pre"),)
+        tile = (Compute(work(self._w), label="tile"),) if steady else ()
+
         for iteration in range(self.iterations):
             for sweep_index, phase in enumerate(phases):
                 if sweep_index > 0 and phases[sweep_index - 1].fill is FillClass.FULL:
                     yield WaitBarrier(("sweep", iteration, sweep_index - 1))
-                oi, oj, dx, dy = _corner_directions(grid, phase.origin)
-                opposite_i = grid.n + 1 - oi
-                opposite_j = grid.m + 1 - oj
-                has_up_x = i != oi
-                has_up_y = j != oj
-                has_down_x = i != opposite_i
-                has_down_y = j != opposite_j
-                up_x = grid.rank_of(i - dx, j) if has_up_x else -1
-                up_y = grid.rank_of(i, j - dy) if has_up_y else -1
-                down_x = grid.rank_of(i + dx, j) if has_down_x else -1
-                down_y = grid.rank_of(i, j + dy) if has_down_y else -1
+                oi, oj, dx, dy = grid.sweep_directions(phase.origin)
                 tag_x = self._sweep_tag(iteration, sweep_index, 0)
                 tag_y = self._sweep_tag(iteration, sweep_index, 1)
+                recvs: Tuple[Op, ...] = ()
+                if i != oi:
+                    recvs += (Recv(src=grid.rank_of(i - dx, j), tag=tag_x),)
+                if j != oj:
+                    recvs += (Recv(src=grid.rank_of(i, j - dy), tag=tag_y),)
+                sends: Tuple[Op, ...] = ()
+                if i != grid.n + 1 - oi:
+                    down_x = grid.rank_of(i + dx, j)
+                    sends += (Send(dst=down_x, nbytes=self._ew_bytes, tag=tag_x),)
+                if j != grid.m + 1 - oj:
+                    down_y = grid.rank_of(i, j + dy)
+                    sends += (Send(dst=down_y, nbytes=self._ns_bytes, tag=tag_y),)
 
-                for _tile in range(self._tiles):
-                    if self._wpre > 0.0:
-                        yield Compute(work(self._wpre), label="pre")
-                    if has_up_x:
-                        yield Recv(src=up_x, tag=tag_x)
-                    if has_up_y:
-                        yield Recv(src=up_y, tag=tag_y)
-                    yield Compute(work(self._w), label="tile")
-                    if has_down_x:
-                        yield Send(dst=down_x, nbytes=self._ew_bytes, tag=tag_x)
-                    if has_down_y:
-                        yield Send(dst=down_y, nbytes=self._ns_bytes, tag=tag_y)
+                if steady:
+                    # Operations are frozen values the machine only reads, so
+                    # one tuple serves every tile of the sweep.
+                    yield from chain.from_iterable(repeat(pre + recvs + tile + sends, tiles))
+                else:
+                    # A stochastic model draws one factor per Compute, in
+                    # program order: the pre-compute first, then the tile.
+                    for _tile in range(tiles):
+                        if self._wpre > 0.0:
+                            yield Compute(work(self._wpre), label="pre")
+                        yield from recvs
+                        yield Compute(work(self._w), label="tile")
+                        yield from sends
                 yield Mark(("sweep", iteration, sweep_index))
 
             if self.simulate_nonwavefront:
@@ -464,6 +480,11 @@ class WavefrontSimulator:
             machine.add_rank_program(rank, self._rank_program(rank))
 
         stats = machine.run(max_events=max_events)
+        # Every on_mark callback closes over the machine that holds it.
+        # Dropping them frees the machine, and every mailbox in it, by
+        # reference counting; left as a cycle, a later full collection pays
+        # for it wherever it happens to run.
+        machine._mark_callbacks.clear()
         return self._build_result(stats.makespan, sweep_completion, stats)
 
 

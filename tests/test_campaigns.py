@@ -1032,12 +1032,49 @@ class TestReport:
         assert all(float(row["relative_error"]) == 0.0 for row in rows)
         assert "Across 4 configuration(s)" in campaign_report(store_path)
 
+    def test_fault_seed_replicas_are_told_apart(self, tmp_path):
+        """Simulator replicas differing only in fault seed show that seed."""
+        spec = CampaignSpec(
+            name="fault-seeds",
+            apps=("lu-classA",),
+            total_cores=(4,),
+            backends=("analytic-fast", "simulator"),
+            fault_models=("mtbf:1e7/repair:1e6/restart:1e5/interval:1e4/dump:5e3",),
+            fault_seeds=(0, 1),
+        )
+        store_path = tmp_path / "fault-seeds.store"
+        run_campaign(spec, store=store_path)
+        write_report(store_path, tmp_path / "out")
+
+        def rows(name: str) -> list[dict]:
+            with (tmp_path / "out" / name).open(newline="") as handle:
+                return list(csv.DictReader(handle))
+
+        results = rows("results.csv")
+        assert sorted(r["fault_seed"] for r in results if r["backend"] == "simulator") == [
+            "0",
+            "1",
+        ]
+        # The analytic candidate pairs with each replica: one row per seed.
+        assert sorted(r["fault_seed"] for r in rows("validation.csv")) == ["0", "1"]
+        report = campaign_report(store_path)
+        assert "| fault seed |" in report
+
+    def test_fault_seed_column_only_when_a_record_has_one(self, tmp_path):
+        store_path = tmp_path / "plain.store"
+        run_campaign(_TWO_FAULT_MODELS, store=store_path)
+        write_report(store_path, tmp_path / "out")
+        header = (tmp_path / "out" / "results.csv").read_text().splitlines()[0]
+        assert "noise_seed" in header.split(",")
+        assert "fault_seed" not in header.split(",")
+        assert "fault seed" not in campaign_report(store_path)
+
     def test_report_is_independent_of_store_write_order(self, tmp_path):
         """The same records written in reverse order render the same files.
 
         Besides the campaign's own records, two fault-seed replicas of one
-        measurement differ only in a field no sorted column shows; their keys
-        put them in one segment, where the store reads back in write order.
+        measurement are stored under keys that put them in one segment,
+        where the store reads back in write order.
         """
         source_path = tmp_path / "source.store"
         run_campaign(_TWO_FAULT_MODELS, store=source_path)

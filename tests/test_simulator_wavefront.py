@@ -1,5 +1,8 @@
 """Tests for repro.simulator.wavefront (full wavefront application simulation)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.apps.base import FillClass
@@ -7,7 +10,9 @@ from repro.apps.chimaera import chimaera
 from repro.apps.lu import lu
 from repro.apps.sweep3d import Sweep3DConfig, sweep3d
 from repro.core.decomposition import ProblemSize, ProcessorGrid
+from repro.core.hetero import SampledNoise
 from repro.core.model import iteration_prediction
+from repro.simulator.machine import Compute, Recv, Send, SimulatedMachine
 from repro.simulator.wavefront import WavefrontSimulator, simulate_wavefront
 
 
@@ -91,6 +96,90 @@ class TestSimulationBasics:
             spec, xt4, total_cores=16, enable_contention=False
         )
         assert with_contention.makespan_us >= without.makespan_us
+
+
+def _count_constructions(monkeypatch, run) -> tuple:
+    """``run()``'s result, and how many Compute, Send and Recv it built."""
+    counts = {Compute: 0, Send: 0, Recv: 0}
+
+    def counting(cls):
+        original = cls.__init__
+
+        def init(self, *args, **kwargs):
+            counts[cls] += 1
+            original(self, *args, **kwargs)
+
+        return init
+
+    with monkeypatch.context() as patch:
+        for cls in counts:
+            patch.setattr(cls, "__init__", counting(cls))
+        result = run()
+    return counts, result
+
+
+class TestOperationReuse:
+    """Rank programs build each operation once, not once per tile."""
+
+    GRID = ProcessorGrid(4, 4)
+
+    def _run(self, spec, platform, **options):
+        return simulate_wavefront(
+            spec,
+            platform,
+            grid=self.GRID,
+            simulate_nonwavefront=False,
+            engine="event",
+            **options,
+        )
+
+    def test_noise_free_constructions_do_not_grow_with_tiles(self, monkeypatch, xt4):
+        counts, messages = [], []
+        for nz in (16, 32):
+            spec = lu(ProblemSize(32, 32, nz), iterations=1)
+            built, result = _count_constructions(monkeypatch, lambda: self._run(spec, xt4))
+            counts.append(built)
+            messages.append(result.stats.total_messages)
+        # Twice the tiles send twice the messages from the same operations.
+        assert messages[1] == 2 * messages[0]
+        assert counts[0] == counts[1]
+        ranks = self.GRID.total_processors
+        sweeps = spec.nsweeps
+        # Per rank: two Compute operations (pre and tile), and per sweep at
+        # most two receives and two sends.
+        assert counts[0][Compute] == 2 * ranks
+        assert counts[0][Send] + counts[0][Recv] <= 4 * ranks * sweeps
+
+    def test_sampled_noise_builds_one_compute_per_tile(self, monkeypatch, xt4):
+        spec = lu(ProblemSize(32, 32, 16), iterations=1)
+        counts, _ = _count_constructions(
+            monkeypatch,
+            lambda: self._run(spec, xt4, noise_model=SampledNoise(0.1), noise_seed=3),
+        )
+        tiles = int(spec.tiles_per_stack())
+        ranks = self.GRID.total_processors
+        # A pre-compute and a tile compute per tile, each with its own draw.
+        assert counts[Compute] == 2 * ranks * spec.nsweeps * tiles
+        assert counts[Send] + counts[Recv] <= 4 * ranks * spec.nsweeps
+
+
+def test_event_run_frees_its_machine_without_the_collector(monkeypatch, problem, xt4):
+    """The machine is freed on return, not left as cyclic garbage."""
+    machines = []
+    original = SimulatedMachine.__init__
+
+    def init(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        machines.append(weakref.ref(self))
+
+    monkeypatch.setattr(SimulatedMachine, "__init__", init)
+    gc.collect()
+    gc.disable()
+    try:
+        simulate_wavefront(chimaera(problem, iterations=1), xt4, total_cores=16, engine="event")
+        assert len(machines) == 1 and machines[0]() is None
+    finally:
+        gc.enable()
 
 
 class TestPrecedenceStructure:
