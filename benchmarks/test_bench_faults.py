@@ -7,7 +7,8 @@ records:
 
 * **fault-free limit** - attaching a *null* fault model (infinite MTBF, no
   dump cost) to a platform is bit-identical to the plain platform on every
-  backend: max abs deviation exactly 0.0;
+  backend, and a column batch priced on it equals the plain platform priced
+  point by point through the scalar model: max abs deviation exactly 0.0;
 * **fault-tolerance curve** - at a fixed checkpoint interval, the analytic
   time-to-solution is *strictly increasing* as the MTBF drops (more
   failures -> more rework, never less).
@@ -30,15 +31,19 @@ from pathlib import Path
 from conftest import emit, write_record
 
 from repro.apps.workloads import lu_class
-from repro.backends import get_backend
+from repro.backends import get_backend, predict_many
 from repro.backends.simulator import SimulatorBackend, clear_simulation_cache
+from repro.core import model_vec
 from repro.core.decomposition import decompose
 from repro.core.faults import FaultModel
-from repro.core.predictor import clear_prediction_cache
+from repro.core.predictor import clear_prediction_cache, predict
 from repro.platforms import cray_xt4, parse_fault_model
 from repro.util.tables import Table
 
 TOTAL_CORES = 16
+#: Tile heights of the fault-free limit's batch: one group of
+#: ``model_vec._COLUMN_CROSSOVER`` points, priced on numpy columns.
+BATCH_HTILES = tuple(float(htile) for htile in range(1, 17))
 
 #: MTBF sweep (fixed checkpoint interval) - the fault-tolerance curve.
 MTBF_SWEEP_US = (1e9, 1e8, 1e7)
@@ -73,7 +78,6 @@ def test_fault_layer_contracts(benchmark, xt4, update_bench):
     null_platform = xt4.with_faults(FaultModel())
     backends = {
         "analytic-fast": get_backend("analytic-fast"),
-        "analytic-vec": get_backend("analytic-vec"),
         "simulator": SimulatorBackend(),
     }
     deviations = {
@@ -83,6 +87,18 @@ def test_fault_layer_contracts(benchmark, xt4, update_bench):
         )
         for name, backend in backends.items()
     }
+    assert len(BATCH_HTILES) >= model_vec._COLUMN_CROSSOVER
+    batch = predict_many(
+        [(spec.with_htile(htile), null_platform, TOTAL_CORES) for htile in BATCH_HTILES]
+    )
+    deviations["analytic-fast batch"] = max(
+        abs(
+            result.time_per_iteration_us
+            - predict(spec.with_htile(htile), xt4, grid=grid, method="fast")
+            .time_per_iteration_us
+        )
+        for htile, result in zip(BATCH_HTILES, batch)
+    )
     max_abs_deviation = max(deviations.values())
 
     # -- fault-tolerance curve: analytic time vs MTBF at fixed interval -----

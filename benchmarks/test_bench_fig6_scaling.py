@@ -66,7 +66,7 @@ def test_fig6_measured_points_within_ten_percent(benchmark, xt4):
         title="Figure 6 measured points (discrete-event simulation)",
     )
     for (cores, simulated_us), point in zip(measured, curve.points):
-        predicted_us = point.prediction.time_per_iteration_us
+        predicted_us = point.result.time_per_iteration_us
         error = (predicted_us - simulated_us) / simulated_us
         table.add_row(cores, predicted_us / 1e6, simulated_us / 1e6, f"{error:+.1%}")
         assert abs(error) < 0.10

@@ -11,6 +11,10 @@ this benchmark pins each one down with a number in ``BENCH_store.json``:
   whole ``put_many`` batches at one ``fsync`` per touched segment; the
   benchmark measures the records/s against one-record-per-commit writes
   (the before/after of the runner change) and asserts the speedup.
+
+Both comparisons run ``ROUNDS`` alternating rounds and compare the median
+time of each side, so one round slowed by a collection or a busy disk
+cannot decide the ratio.
 * **shard merge wall-clock**: folding the scratch stores of a sharded run
   back into the main store is timed at reduced scale.
 * **kill/resume**: a real ``--shards`` campaign subprocess is SIGKILLed
@@ -27,6 +31,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -49,6 +54,9 @@ OPEN_RECORDS = 20_000
 COMMIT_RECORDS = 256
 MIN_OPEN_RATIO = 2.0
 MIN_PUT_MANY_SPEEDUP = 3.0
+#: Alternating rounds of each open and commit comparison; each side's time
+#: is its median round.
+ROUNDS = 5
 MERGE_SHARDS = 4
 
 #: The kill/resume campaign: enough moderately-priced simulator points that
@@ -113,9 +121,15 @@ def _time_full_parse(path: Path) -> tuple[float, int]:
 def _measure_open_ratio() -> dict:
     path = Path(tempfile.mkdtemp(prefix="bench-store-")) / "open.store"
     _build_store(path, OPEN_RECORDS)
-    full_s, full_n = _time_full_parse(path)
-    open_s, open_n = _time_sidecar_open(path)
-    assert open_n == full_n == OPEN_RECORDS
+    full_times, open_times = [], []
+    for _ in range(ROUNDS):
+        full_s, full_n = _time_full_parse(path)
+        open_s, open_n = _time_sidecar_open(path)
+        assert open_n == full_n == OPEN_RECORDS
+        full_times.append(full_s)
+        open_times.append(open_s)
+    full_s = statistics.median(full_times)
+    open_s = statistics.median(open_times)
     return {
         "records": OPEN_RECORDS,
         "open_sidecar_s": open_s,
@@ -124,10 +138,8 @@ def _measure_open_ratio() -> dict:
     }
 
 
-def _measure_commit_throughput() -> dict:
-    root = Path(tempfile.mkdtemp(prefix="bench-store-"))
-    items = [_record(i) for i in range(COMMIT_RECORDS)]
-
+def _time_commits(root: Path, items) -> tuple[float, float]:
+    """Seconds to land ``items`` one commit per record, then in one group."""
     per_record = ResultStore(root / "per-record.store")
     start = time.perf_counter()
     for key, record in items:
@@ -140,7 +152,15 @@ def _measure_commit_throughput() -> dict:
     grouped.put_many(items)  # one lock + two fsyncs per touched segment
     group_s = time.perf_counter() - start
     grouped.close()
+    return per_record_s, group_s
 
+
+def _measure_commit_throughput() -> dict:
+    root = Path(tempfile.mkdtemp(prefix="bench-store-"))
+    items = [_record(i) for i in range(COMMIT_RECORDS)]
+    rounds = [_time_commits(root / f"round-{index}", items) for index in range(ROUNDS)]
+    per_record_s = statistics.median(per_record for per_record, _ in rounds)
+    group_s = statistics.median(group for _, group in rounds)
     return {
         "commit_records": COMMIT_RECORDS,
         "per_record_commit_s": per_record_s,
@@ -289,6 +309,7 @@ def test_store_open_commit_and_resume_contracts(benchmark, update_bench):
 
     record = {
         "benchmark": "store",
+        "rounds": ROUNDS,
         **open_stats,
         **commit_stats,
         "shard_merge": merge_stats,

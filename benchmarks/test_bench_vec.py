@@ -1,33 +1,37 @@
-"""Vectorized-backend benchmark: ``analytic-vec`` vs ``analytic-fast``.
+"""Batch-pricing benchmark: one ``predict_many`` batch vs per-point pricing.
 
 Design-space sweeps price the same application on thousands of (htile,
-core-count) configurations; per-point evaluation through the scalar fast
-path re-walks the cost tables and the ``StartP`` corners for every point.
-The ``analytic-vec`` backend receives the whole design matrix through the
-batch protocol (``evaluate_batch``) and prices it as struct-of-arrays
-operations, sharing the per-(platform, mapping) cost tables and folding the
+core-count) configurations; per-point evaluation through the scalar model
+re-walks the cost tables and the ``StartP`` corners for every point.  The
+analytic backend receives the whole design matrix through the batch
+protocol (``evaluate_batch``) and prices it as struct-of-arrays operations,
+sharing the per-(platform, mapping) cost tables and folding the
 pipeline-fill corner walks of a whole sub-group into single passes.  This
-benchmark records the speedup on a 10,000-point grid and asserts the
-backend contract:
+benchmark times the batch path against the same requests priced one point
+at a time (``AnalyticBackend.evaluate`` on each resolved request: a
+one-point batch, which runs the scalar model on floats), records the
+speedup on a 10,000-point grid and asserts the backend contract:
 
-* ``analytic-vec`` and ``analytic-fast`` agree within 1e-9 (absolute, in
-  µs; the two paths are in fact bit-identical),
-* ``analytic-vec`` is at least 10x faster on the full grid,
-* ``analytic-vec`` is never slower than per-point pricing on a matrix of
-  many distinct small grids, whose walks mostly hold one point each (the
-  case the float crossover in :mod:`repro.core.model_vec` exists for), and
+* the batch agrees with per-point pricing within 1e-9 (absolute, in µs; the
+  two paths are in fact bit-identical),
+* the batch is at least 10x faster on the full grid,
+* the batch is never slower than per-point pricing on a matrix of many
+  distinct small grids, whose walks mostly hold one point each (the case
+  the float crossover in :mod:`repro.core.model_vec` exists for), and
 * priced one or four requests per ``predict_many`` call - the way
   ``predict_one``, a CLI ``predict`` or a golden-section search send
-  points to it - ``analytic-vec`` costs about what ``analytic-fast`` does:
+  points to it - the batch path costs about what per-point pricing does:
   groups below the crossover take the scalar path.
 
-Each backend's time is the best of ``ROUNDS`` cold rounds (memos cleared
-and garbage collected before every round, the two backends alternating),
-so one slow round on a shared host cannot sink the ratio.  Under
+Each side's time is the best of ``ROUNDS`` cold rounds (memos cleared and
+garbage collected before every round, the two sides alternating), so one
+slow round on a shared host cannot sink the ratio.  Under
 ``pytest --update-bench`` a machine-readable record is written to
 ``BENCH_vec.json`` so downstream tooling can track the speedup across
 revisions (guarded by ``tests/test_bench_records.py``); each case rewrites
-only its own keys of the record.
+only its own keys of the record.  The record keeps the key names of the
+former two-backend comparison: ``analytic_fast_s`` is the per-point time
+and ``analytic_vec_s`` the batch time.
 """
 
 from __future__ import annotations
@@ -40,7 +44,8 @@ from pathlib import Path
 from conftest import emit, write_record
 
 from repro.apps.workloads import chimaera_240cubed, lu_class
-from repro.backends import PredictionRequest, predict_many
+from repro.backends import AnalyticBackend, PredictionRequest, predict_many
+from repro.core import model_vec
 from repro.core.predictor import clear_prediction_cache
 from repro.platforms import cray_xt4, cray_xt4_quad_chip
 from repro.util.tables import Table
@@ -52,21 +57,21 @@ CORE_COUNTS = (
 )
 ABS_TOL = 1e-9
 MIN_SPEEDUP = 10.0
-#: Cold rounds per backend; each backend's time is its best round.
+#: Cold rounds per side; each side's time is its best round.
 ROUNDS = 5
 RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_vec.json"
 #: LU class A on cray-xt4 over 256 even core counts: 173 of the grids refuse
 #: the period fold, so most fill walks hold a single point.
 SMALL_GRID_CORES = range(16, 528, 2)
-#: Cold rounds per backend on the small-grid matrix (each takes milliseconds).
+#: Cold rounds per side on the small-grid matrix (each takes milliseconds).
 SMALL_GRID_ROUNDS = 11
 #: Requests per ``predict_many`` call in the small-batch case: both below
 #: ``model_vec._COLUMN_CROSSOVER``.
 SMALL_BATCH_SIZES = (1, 4)
-#: Largest vec/fast time ratio allowed on small batches.  With groups below
-#: the crossover priced on floats, analytic-vec measured 0.87-1.20x of
-#: analytic-fast's time here; pricing one-request groups on columns took
-#: 1.8x (2-vCPU VM, Python 3.11, numpy 2.4).
+#: Largest batch/per-point time ratio allowed on small batches.  With groups
+#: below the crossover priced on floats, batches measured 0.87-1.20x of
+#: per-point pricing here; pricing one-request groups on columns took 1.8x
+#: (2-vCPU VM, Python 3.11, numpy 2.4).
 SMALL_BATCH_MAX_RATIO = 1.5
 
 
@@ -87,35 +92,52 @@ def _small_grid_requests(platform):
     ]
 
 
-def _time_backend(requests, backend: str, batch_size: int) -> tuple[float, list]:
-    """Price ``requests`` in ``predict_many`` calls of ``batch_size``."""
+def _cold() -> None:
     clear_prediction_cache()
-    # Start from a collected heap: cyclic garbage left by earlier tests (the
-    # simulator's, say) otherwise slows whichever round runs next, doubling
-    # the vec time in a full tier-1 run.
+    # Start from a collected heap: cyclic garbage left by earlier tests
+    # otherwise slows whichever round runs next.
     gc.collect()
+
+
+def _time_per_point(requests) -> tuple[float, list]:
+    """Price each request on its own: a one-point batch is below
+    ``model_vec._COLUMN_CROSSOVER``, so it runs the scalar model."""
+    assert model_vec._COLUMN_CROSSOVER > 1
+    backend = AnalyticBackend()
+    _cold()
+    results = []
+    start = time.perf_counter()
+    for request in requests:
+        results.append(backend.evaluate(*request.resolve()))
+    return time.perf_counter() - start, results
+
+
+def _time_batches(requests, batch_size: int) -> tuple[float, list]:
+    """Price ``requests`` in ``predict_many`` calls of ``batch_size``."""
+    _cold()
     results = []
     start = time.perf_counter()
     for first in range(0, len(requests), batch_size):
-        results += predict_many(requests[first : first + batch_size], backend=backend)
+        results += predict_many(requests[first : first + batch_size])
     return time.perf_counter() - start, results
 
 
 def _best_rounds(requests, rounds: int, batch_size: int | None = None):
-    """Best cold time of each backend over alternating rounds, and the
-    largest |vec - fast| per-iteration deviation.  ``batch_size`` defaults
-    to the whole matrix in one call."""
+    """Best cold time of each side over alternating rounds, and the largest
+    |batch - per-point| per-iteration deviation.  ``batch_size`` defaults to
+    the whole matrix in one call."""
     batch_size = batch_size or len(requests)
-    fast_s = vec_s = float("inf")
+    per_point_s = batch_s = float("inf")
     for _ in range(rounds):
-        seconds, fast = _time_backend(requests, "analytic-fast", batch_size)
-        fast_s = min(fast_s, seconds)
-        seconds, vec = _time_backend(requests, "analytic-vec", batch_size)
-        vec_s = min(vec_s, seconds)
+        seconds, per_point = _time_per_point(requests)
+        per_point_s = min(per_point_s, seconds)
+        seconds, batched = _time_batches(requests, batch_size)
+        batch_s = min(batch_s, seconds)
     deviation = max(
-        abs(a.time_per_iteration_us - b.time_per_iteration_us) for a, b in zip(fast, vec)
+        abs(a.time_per_iteration_us - b.time_per_iteration_us)
+        for a, b in zip(per_point, batched)
     )
-    return fast_s, vec_s, deviation
+    return per_point_s, batch_s, deviation
 
 
 def _update_record(fields: dict, update_bench: bool) -> None:
@@ -128,16 +150,16 @@ def _update_record(fields: dict, update_bench: bool) -> None:
 def test_vec_backend_speedup_10k_grid(benchmark, update_bench):
     platform = cray_xt4_quad_chip()
     requests = _design_matrix(platform)
-    fast_s, vec_s, max_abs_deviation = _best_rounds(requests, ROUNDS)
-    speedup = fast_s / vec_s
+    per_point_s, batch_s, max_abs_deviation = _best_rounds(requests, ROUNDS)
+    speedup = per_point_s / batch_s
 
     table = Table(
-        ["backend", "wall (s)", "points/s"],
+        ["pricing", "wall (s)", "points/s"],
         title=f"{len(requests)}-point design matrix on {platform.name} "
         f"({HTILE_POINTS} htile values x {len(CORE_COUNTS)} machine sizes)",
     )
-    table.add_row("analytic-fast", round(fast_s, 3), round(len(requests) / fast_s))
-    table.add_row("analytic-vec", round(vec_s, 3), round(len(requests) / vec_s))
+    table.add_row("per point", round(per_point_s, 3), round(len(requests) / per_point_s))
+    table.add_row("one batch", round(batch_s, 3), round(len(requests) / batch_s))
     emit(table.render())
     emit(
         f"speedup: {speedup:.1f}x, max abs deviation: {max_abs_deviation:.2e} us"
@@ -145,9 +167,9 @@ def test_vec_backend_speedup_10k_grid(benchmark, update_bench):
 
     # The backend contract.
     assert max_abs_deviation <= ABS_TOL, (
-        f"analytic-vec diverges from analytic-fast by {max_abs_deviation:.2e} us"
+        f"batch pricing diverges from per-point pricing by {max_abs_deviation:.2e} us"
     )
-    assert speedup >= MIN_SPEEDUP, f"analytic-vec only {speedup:.1f}x faster"
+    assert speedup >= MIN_SPEEDUP, f"batch pricing only {speedup:.1f}x faster"
 
     record = {
         "benchmark": "vec_backend",
@@ -155,8 +177,8 @@ def test_vec_backend_speedup_10k_grid(benchmark, update_bench):
         "points": len(requests),
         "htile_points": HTILE_POINTS,
         "core_counts": list(CORE_COUNTS),
-        "analytic_fast_s": fast_s,
-        "analytic_vec_s": vec_s,
+        "analytic_fast_s": per_point_s,
+        "analytic_vec_s": batch_s,
         "rounds": ROUNDS,
         "speedup": speedup,
         "max_abs_deviation_us": max_abs_deviation,
@@ -165,32 +187,32 @@ def test_vec_backend_speedup_10k_grid(benchmark, update_bench):
     }
     _update_record(record, update_bench)
 
-    # Steady-state vec timing (memo cleared each round) for the regression
+    # Steady-state batch timing (memo cleared each round) for the regression
     # record.
-    def _vec_round():
+    def _batch_round():
         clear_prediction_cache()
-        return predict_many(requests, backend="analytic-vec")
+        return predict_many(requests)
 
-    benchmark(_vec_round)
+    benchmark(_batch_round)
 
 
 def test_vec_no_slower_on_many_small_grids(update_bench):
     platform = cray_xt4()
     requests = _small_grid_requests(platform)
-    fast_s, vec_s, max_abs_deviation = _best_rounds(requests, SMALL_GRID_ROUNDS)
+    per_point_s, batch_s, max_abs_deviation = _best_rounds(requests, SMALL_GRID_ROUNDS)
 
     table = Table(
-        ["backend", "wall (ms)"],
+        ["pricing", "wall (ms)"],
         title=f"{len(requests)} distinct small grids of lu-classA on {platform.name}",
     )
-    table.add_row("analytic-fast", round(1e3 * fast_s, 2))
-    table.add_row("analytic-vec", round(1e3 * vec_s, 2))
+    table.add_row("per point", round(1e3 * per_point_s, 2))
+    table.add_row("one batch", round(1e3 * batch_s, 2))
     emit(table.render())
 
     assert max_abs_deviation <= ABS_TOL
-    assert vec_s <= fast_s, (
-        f"analytic-vec ({1e3 * vec_s:.2f} ms) is slower than per-point "
-        f"analytic-fast ({1e3 * fast_s:.2f} ms) on many small grids"
+    assert batch_s <= per_point_s, (
+        f"batch pricing ({1e3 * batch_s:.2f} ms) is slower than per-point "
+        f"pricing ({1e3 * per_point_s:.2f} ms) on many small grids"
     )
     _update_record(
         {
@@ -201,8 +223,8 @@ def test_vec_no_slower_on_many_small_grids(update_bench):
                 "cores_first": SMALL_GRID_CORES[0],
                 "cores_last": SMALL_GRID_CORES[-1],
                 "cores_step": SMALL_GRID_CORES.step,
-                "analytic_fast_s": fast_s,
-                "analytic_vec_s": vec_s,
+                "analytic_fast_s": per_point_s,
+                "analytic_vec_s": batch_s,
                 "rounds": SMALL_GRID_ROUNDS,
                 "max_abs_deviation_us": max_abs_deviation,
             }
@@ -215,23 +237,26 @@ def test_vec_about_as_fast_on_small_batches(update_bench):
     platform = cray_xt4()
     requests = _small_grid_requests(platform)
     table = Table(
-        ["requests per call", "analytic-fast (ms)", "analytic-vec (ms)", "vec / fast"],
+        ["requests per call", "per point (ms)", "batches (ms)", "batch / per point"],
         title=f"{len(requests)} requests of lu-classA on {platform.name}, small batches",
     )
     batches = []
     for batch_size in SMALL_BATCH_SIZES:
-        fast_s, vec_s, max_abs_deviation = _best_rounds(
+        per_point_s, batch_s, max_abs_deviation = _best_rounds(
             requests, SMALL_GRID_ROUNDS, batch_size
         )
         assert max_abs_deviation <= ABS_TOL
         table.add_row(
-            batch_size, round(1e3 * fast_s, 2), round(1e3 * vec_s, 2), round(vec_s / fast_s, 2)
+            batch_size,
+            round(1e3 * per_point_s, 2),
+            round(1e3 * batch_s, 2),
+            round(batch_s / per_point_s, 2),
         )
         batches.append(
             {
                 "batch_size": batch_size,
-                "analytic_fast_s": fast_s,
-                "analytic_vec_s": vec_s,
+                "analytic_fast_s": per_point_s,
+                "analytic_vec_s": batch_s,
                 "max_abs_deviation_us": max_abs_deviation,
             }
         )
@@ -239,8 +264,8 @@ def test_vec_about_as_fast_on_small_batches(update_bench):
 
     for batch in batches:
         assert batch["analytic_vec_s"] <= SMALL_BATCH_MAX_RATIO * batch["analytic_fast_s"], (
-            f"analytic-vec is {batch['analytic_vec_s'] / batch['analytic_fast_s']:.2f}x "
-            f"analytic-fast in {batch['batch_size']}-request calls"
+            f"batch pricing is {batch['analytic_vec_s'] / batch['analytic_fast_s']:.2f}x "
+            f"per-point pricing in {batch['batch_size']}-request calls"
         )
     _update_record(
         {

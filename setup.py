@@ -6,18 +6,17 @@ declared under the ``[fast]`` extra:
 
 * the work-rate kernels (``repro.calibration.workrate``, behind
   ``wavebench workrate``) need it for their micro-benchmarks;
-* the ``analytic-vec`` backend (``repro.core.model_vec``) runs the model's
-  equations on numpy columns, and degrades gracefully without it - it
-  then prices each point through the scalar model, with identical
-  numbers (one warning is logged, see
-  ``repro.core.model_vec.warn_on_fallback``), just without the batch
-  speed.
+* the analytic backend prices batches through ``repro.core.model_vec``,
+  which runs the model's equations on numpy columns, and degrades
+  gracefully without it - it then prices each point through the scalar
+  model, with identical numbers, just without the batch speed.
 
 Nothing else imports numpy, and every ``wavebench`` subcommand but
 ``workrate`` runs without it.  ``tests/test_model_vec.py`` pins this by
 running the CLI and a mixed batch in an interpreter where numpy cannot be
-imported, and the CI ``no-numpy`` job runs the model, conformance, CLI and
-simulator-pin suites without numpy installed.
+imported, and the CI ``no-numpy`` job runs the model, conformance,
+backend, validation, scaling, CLI and simulator-pin suites without numpy
+installed.
 """
 
 from setuptools import find_packages, setup
@@ -33,7 +32,7 @@ setup(
     python_requires=">=3.10",
     install_requires=[],  # pure stdlib at runtime - see the numpy policy above
     extras_require={
-        "fast": ["numpy"],  # vectorized batch backend + work-rate kernels
+        "fast": ["numpy"],  # column batches + work-rate kernels
         "test": ["pytest", "pytest-benchmark", "hypothesis"],
     },
     entry_points={"console_scripts": ["wavebench=repro.cli:main"]},

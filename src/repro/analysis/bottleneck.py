@@ -19,7 +19,6 @@ from repro.backends.base import BackendResult, PredictionRequest
 from repro.backends.registry import BackendSpec
 from repro.backends.service import predict_many
 from repro.core.loggp import Platform
-from repro.core.predictor import Prediction
 
 __all__ = ["BreakdownPoint", "cost_breakdown", "communication_crossover"]
 
@@ -33,7 +32,6 @@ class BreakdownPoint:
     computation_days: float
     communication_days: float
     pipeline_fill_days: Optional[float]
-    prediction: Optional[Prediction]
     result: Optional[BackendResult] = None
 
     @property
@@ -83,7 +81,6 @@ def cost_breakdown(
                 pipeline_fill_days=(
                     total_days * fill_fraction if fill_fraction is not None else None
                 ),
-                prediction=result.prediction,
                 result=result,
             )
         )
@@ -97,8 +94,8 @@ def communication_crossover(points: Sequence[BreakdownPoint]) -> Optional[int]:
     range.  The paper identifies this crossover as the practical scaling
     limit of the configuration.
 
-    >>> compute_bound = BreakdownPoint(64, 1.0, 0.7, 0.3, None, None)
-    >>> comm_bound = BreakdownPoint(256, 0.5, 0.2, 0.3, None, None)
+    >>> compute_bound = BreakdownPoint(64, 1.0, 0.7, 0.3, None)
+    >>> comm_bound = BreakdownPoint(256, 0.5, 0.2, 0.3, None)
     >>> communication_crossover([compute_bound, comm_bound])
     256
     >>> communication_crossover([compute_bound]) is None

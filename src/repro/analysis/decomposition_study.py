@@ -21,7 +21,6 @@ from repro.backends.registry import BackendSpec
 from repro.backends.service import predict_many
 from repro.core.decomposition import ProcessorGrid
 from repro.core.loggp import Platform
-from repro.core.predictor import Prediction
 
 __all__ = ["DecompositionPoint", "all_factorisations", "decomposition_study", "best_decomposition"]
 
@@ -33,7 +32,6 @@ class DecompositionPoint:
     grid: ProcessorGrid
     time_per_iteration_us: float
     pipeline_fill_us: Optional[float]
-    prediction: Optional[Prediction]
     result: Optional[BackendResult] = None
 
     @property
@@ -101,7 +99,6 @@ def decomposition_study(
             grid=grid,
             time_per_iteration_us=result.time_per_iteration_us,
             pipeline_fill_us=result.pipeline_fill_per_iteration_us,
-            prediction=result.prediction,
             result=result,
         )
         for grid, result in zip(kept, results)

@@ -23,7 +23,6 @@ from repro.apps.base import WavefrontSpec
 from repro.backends.base import BackendResult
 from repro.backends.registry import BackendSpec
 from repro.core.loggp import Platform
-from repro.core.predictor import Prediction
 from repro.optimize import OptimizationSpace, StrategySpec, optimize
 
 __all__ = ["HtilePoint", "HtileStudy", "htile_study", "optimal_htile"]
@@ -34,15 +33,14 @@ class HtilePoint:
     """One point of the Htile sweep.
 
     ``pipeline_fill_fraction`` is None when the backend cannot separate the
-    fill component (e.g. the simulator); ``prediction`` carries the analytic
-    detail object when available and ``result`` the backend-agnostic one.
+    fill component (e.g. the simulator); ``result`` is the backend's
+    evaluation.
     """
 
     htile: float
     time_per_time_step_s: float
     pipeline_fill_fraction: Optional[float]
     communication_fraction: float
-    prediction: Optional[Prediction]
     result: Optional[BackendResult] = None
 
 
@@ -75,7 +73,6 @@ def _htile_point(htile: float, result: BackendResult) -> HtilePoint:
         time_per_time_step_s=result.time_per_time_step_s,
         pipeline_fill_fraction=result.pipeline_fill_fraction,
         communication_fraction=result.communication_fraction,
-        prediction=result.prediction,
         result=result,
     )
 

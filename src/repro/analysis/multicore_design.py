@@ -19,7 +19,6 @@ from repro.apps.base import WavefrontSpec
 from repro.backends.base import BackendResult
 from repro.backends.registry import BackendSpec
 from repro.core.loggp import Platform
-from repro.core.predictor import Prediction
 from repro.optimize import OptimizationSpace, optimize
 
 __all__ = ["MulticoreDesignPoint", "cores_per_node_study", "equivalent_node_counts"]
@@ -39,7 +38,6 @@ class MulticoreDesignPoint:
     buses_per_node: int
     total_cores: int
     total_time_days: float
-    prediction: Optional[Prediction]
     result: Optional[BackendResult] = None
 
     @property
@@ -96,7 +94,6 @@ def cores_per_node_study(
                     buses_per_node=min(buses_per_node, cores),
                     total_cores=design.total_cores,
                     total_time_days=design.result.total_time_days,
-                    prediction=design.result.prediction,
                     result=design.result,
                 )
             )
@@ -113,7 +110,7 @@ def equivalent_node_counts(
 
     >>> point = MulticoreDesignPoint(nodes=4, cores_per_node=1,
     ...                              buses_per_node=1, total_cores=4,
-    ...                              total_time_days=1.0, prediction=None)
+    ...                              total_time_days=1.0)
     >>> [p.nodes for p in equivalent_node_counts([point], target_days=1.05)]
     [4]
     """

@@ -19,7 +19,6 @@ from repro.backends.registry import BackendSpec
 from repro.backends.service import predict_many
 from repro.core.decomposition import ProcessorGrid, decompose
 from repro.core.loggp import Platform
-from repro.core.predictor import Prediction
 
 __all__ = [
     "ScalingPoint",
@@ -34,9 +33,7 @@ __all__ = [
 class ScalingPoint:
     """One (processor count, predicted time) point of a scaling curve.
 
-    ``prediction`` carries the analytic detail object when the curve was
-    produced by an analytic backend (None for e.g. the simulator backend);
-    ``result`` is the backend-agnostic evaluation.
+    ``result`` is the backend's evaluation.
     ``pipeline_fill_fraction`` is None when the backend cannot separate the
     fill component (the simulator measures only total time).
     """
@@ -46,7 +43,6 @@ class ScalingPoint:
     time_per_time_step_s: float
     computation_fraction: float
     pipeline_fill_fraction: Optional[float]
-    prediction: Optional[Prediction]
     result: Optional[BackendResult] = None
 
     @property
@@ -94,7 +90,6 @@ def _point(result: BackendResult) -> ScalingPoint:
         time_per_time_step_s=result.time_per_time_step_s,
         computation_fraction=result.computation_fraction,
         pipeline_fill_fraction=result.pipeline_fill_fraction,
-        prediction=result.prediction,
         result=result,
     )
 

@@ -17,11 +17,11 @@ that comparison (and any future engine) interchangeable:
     String-keyed factories resolved by :func:`get_backend`.  Built-ins:
 
     * ``"analytic-fast"`` - the closed-form / period-folded ``StartP``
-      engine (the default everywhere);
+      engine (the default everywhere); it prices whole batches on numpy
+      columns when they are large enough to pay for it, and point by
+      point on floats otherwise;
+    * ``"analytic-vec"`` - another name for ``"analytic-fast"``;
     * ``"analytic-exact"`` - the reference full-grid recurrence;
-    * ``"analytic-vec"`` - the same fast-path equations evaluated as
-      struct-of-arrays batches (numpy when importable, a stdlib vector
-      fallback otherwise) through the batch protocol below;
     * ``"simulator"`` - the discrete-event simulator, using the
       diagonal-aggregated fast path on noise-free homogeneous
       configurations and the per-rank event engine otherwise.
@@ -40,10 +40,11 @@ that comparison (and any future engine) interchangeable:
 **Batch service** (:mod:`repro.backends.service`)
     :func:`predict_many` evaluates a list of
     :class:`PredictionRequest` objects on one backend, fusing request
-    deduplication, the per-backend result caches and optional
+    deduplication, the simulator's result cache and optional
     process/thread-pool fan-out.  Backends that additionally implement the
     optional :class:`BatchPredictionBackend` protocol (``evaluate_batch``,
-    e.g. ``analytic-vec``) receive whole deduplicated batches in one call.
+    e.g. the analytic backends) receive whole deduplicated batches in one
+    call.
     :func:`predict_one` is the single-request
     form.  The analysis studies (:mod:`repro.analysis`), the validation
     harness (:mod:`repro.validation`) and the CLI's ``--backend`` flag all
@@ -77,7 +78,6 @@ from repro.backends.simulator import (
     clear_simulation_cache,
     simulation_cache_info,
 )
-from repro.backends.vectorized import VectorizedAnalyticBackend
 
 __all__ = [
     "AnalyticBackend",
@@ -87,7 +87,6 @@ __all__ = [
     "PredictionBackend",
     "PredictionRequest",
     "SimulatorBackend",
-    "VectorizedAnalyticBackend",
     "as_request",
     "available_backends",
     "clear_simulation_cache",

@@ -1,14 +1,23 @@
-"""Analytic prediction backends: the Table 5 / Table 6 plug-and-play model.
+"""The analytic prediction backend: the Table 5 / Table 6 plug-and-play model.
 
-Two registered variants share one implementation:
+Three registered names share one implementation:
 
 * ``analytic-fast`` - the closed-form / period-folded ``StartP`` engine
   (``method="fast"``), ~100-1000x faster than the grid walk at scale;
+* ``analytic-vec`` - another spelling of ``analytic-fast``, kept so CLI
+  flags, campaign specs and stored campaign keys that name it still work;
 * ``analytic-exact`` - the reference full-grid recurrence
   (``method="exact"``), kept for cross-checking the fast engine.
 
-Both go through :func:`repro.core.predictor.predict`, so they share its
-memoisation: re-evaluating a configuration anywhere in the process is free.
+:meth:`AnalyticBackend.evaluate_batch` is the batch protocol entry point
+:func:`repro.backends.service.predict_many` hands whole deduplicated lists
+to.  The fast engine prices a batch through :func:`repro.core.model_vec
+.batch_point_values`, which runs the model's equations on numpy columns for
+groups large enough to pay for them and on floats, point by point,
+otherwise (and everywhere when numpy is not importable) - the same
+functions either way, so results are bit-identical.  The exact engine
+prices each point through :func:`repro.core.predictor.predict`.
+:meth:`AnalyticBackend.evaluate` is a one-element batch.
 
 Heterogeneous platform descriptions (:mod:`repro.core.hetero`) are handled
 inside the model itself: per-node speed profiles enter the ``StartP``
@@ -22,7 +31,7 @@ simulator executes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Sequence, Tuple
 
 from repro.apps.base import WavefrontSpec
 from repro.backends.base import BackendResult
@@ -30,14 +39,17 @@ from repro.core.decomposition import CoreMapping, ProcessorGrid
 from repro.core.loggp import Platform
 from repro.core.model import FILL_METHODS
 from repro.core.model_vec import PointValues, point_values
-from repro.core.predictor import Prediction, predict
+from repro.core.multicore import resolve_core_mapping
+from repro.core.predictor import predict
 
 __all__ = ["AnalyticBackend"]
+
+_Config = Tuple[WavefrontSpec, Platform, ProcessorGrid, CoreMapping]
 
 
 @dataclass(frozen=True)
 class AnalyticBackend:
-    """The plug-and-play model as a :class:`PredictionBackend`.
+    """The plug-and-play model as a batch :class:`PredictionBackend`.
 
     ``method`` selects the ``StartP`` evaluator (``"auto"``/``"fast"``/
     ``"exact"``, see :func:`repro.core.model.fill_times`).
@@ -70,24 +82,34 @@ class AnalyticBackend:
         grid: ProcessorGrid,
         core_mapping: Optional[CoreMapping] = None,
     ) -> BackendResult:
-        prediction = predict(
-            spec, platform, grid=grid, core_mapping=core_mapping, method=self.method
-        )
-        config = (prediction.spec, prediction.platform, prediction.grid, prediction.core_mapping)
-        return _wrap(self.name, config, point_values(prediction.iteration), prediction)
+        """Evaluate one configuration (a one-element batch)."""
+        mapping = resolve_core_mapping(platform, core_mapping)
+        return self.evaluate_batch([(spec, platform, grid, mapping)])[0]
+
+    def evaluate_batch(self, resolved: Sequence[_Config]) -> List[BackendResult]:
+        """Evaluate resolved configurations in one pass, in input order."""
+        resolved = list(resolved)
+        if self.method == "exact":
+            points = [
+                point_values(
+                    predict(spec, platform, grid=grid, core_mapping=mapping, method="exact")
+                    .iteration
+                )
+                for spec, platform, grid, mapping in resolved
+            ]
+        else:
+            # Looked up at call time: the vectorized module imports this one.
+            from repro.backends.vectorized import batch_point_values
+
+            points = batch_point_values(resolved)
+        name = self.name
+        return [_wrap(name, config, point) for config, point in zip(resolved, points)]
 
 
-def _wrap(
-    name: str,
-    config: tuple,
-    point: PointValues,
-    prediction: Optional[Prediction] = None,
-) -> BackendResult:
+def _wrap(name: str, config: _Config, point: PointValues) -> BackendResult:
     """One point's model values as a :class:`BackendResult`.
 
     ``config`` is the resolved ``(spec, platform, grid, core_mapping)``.
-    Shared by both analytic backends (``analytic-vec`` passes no
-    ``prediction`` detail object), so their results are shaped alike.
     """
     spec, platform, grid, mapping = config
     phases = (
@@ -109,5 +131,4 @@ def _wrap(
         point.computation_per_iteration,
         point.pipeline_fill,
         phases,
-        prediction,
     )

@@ -22,7 +22,6 @@ from repro.apps.base import WavefrontSpec
 from repro.core.decomposition import CoreMapping, ProcessorGrid, decompose
 from repro.core.loggp import Platform
 from repro.core.multicore import resolve_core_mapping
-from repro.core.predictor import Prediction
 from repro.simulator.wavefront import WavefrontSimulationResult
 from repro.util.units import safe_ratio, seconds_to_days, us_to_seconds
 
@@ -76,11 +75,11 @@ class BatchPredictionBackend(PredictionBackend, Protocol):
     ``evaluate`` point by point.  Implementations must return one
     :class:`BackendResult` per input configuration, in input order.
 
-    >>> from repro.backends.vectorized import VectorizedAnalyticBackend
     >>> from repro.backends.analytic import AnalyticBackend
-    >>> isinstance(VectorizedAnalyticBackend(), BatchPredictionBackend)
-    True
+    >>> from repro.backends.simulator import SimulatorBackend
     >>> isinstance(AnalyticBackend(), BatchPredictionBackend)
+    True
+    >>> isinstance(SimulatorBackend(), BatchPredictionBackend)
     False
     """
 
@@ -147,8 +146,8 @@ class BackendResult:
     separate the fill component (the simulator measures only total time,
     like the paper's wall-clock runs).
 
-    ``prediction`` / ``simulation`` carry the engine-specific detail object
-    when available.
+    ``simulation`` carries the simulator's detail object; the analytic
+    model's is :func:`repro.core.predictor.predict`'s ``Prediction``.
 
     >>> from repro.backends.service import predict_one
     >>> from repro.apps.workloads import lu_class
@@ -171,7 +170,6 @@ class BackendResult:
     computation_per_iteration_us: float
     pipeline_fill_per_iteration_us: Optional[float]
     phases: Tuple[Tuple[str, float], ...] = ()
-    prediction: Optional[Prediction] = None
     simulation: Optional[WavefrontSimulationResult] = None
 
     # -- per-iteration quantities ----------------------------------------------------

@@ -1,8 +1,9 @@
 """String-keyed registry of prediction backends.
 
 Built-in engines (``analytic-fast``, ``analytic-exact``, ``simulator``) are
-registered lazily on first use; libraries and applications can add their own
-with :func:`register_backend`:
+registered lazily on first use, with ``analytic-vec`` as a second spelling of
+``analytic-fast``; libraries and applications can add their own with
+:func:`register_backend`:
 
 >>> from repro.backends import register_backend, get_backend
 >>> from repro.backends.analytic import AnalyticBackend
@@ -41,11 +42,11 @@ def _ensure_builtins() -> None:
     # circular imports: the backend modules import backends.base too.
     from repro.backends.analytic import AnalyticBackend
     from repro.backends.simulator import SimulatorBackend
-    from repro.backends.vectorized import VectorizedAnalyticBackend
 
     _FACTORIES.setdefault("analytic-fast", lambda: AnalyticBackend(method="fast"))
     _FACTORIES.setdefault("analytic-exact", lambda: AnalyticBackend(method="exact"))
-    _FACTORIES.setdefault("analytic-vec", lambda: VectorizedAnalyticBackend())
+    # The former batch backend's name: campaign specs and stored keys use it.
+    _FACTORIES.setdefault("analytic-vec", lambda: AnalyticBackend(method="fast"))
     _FACTORIES.setdefault("simulator", lambda: SimulatorBackend())
 
 

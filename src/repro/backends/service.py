@@ -1,18 +1,19 @@
 """Batch prediction service: one call, many configurations, any backend.
 
 :func:`predict_many` is the library's unified evaluation entry point.  It
-fuses three mechanisms that previously lived in separate layers:
+fuses four mechanisms:
 
 * **request deduplication** - repeated configurations in the request list
-  (common in partition/throughput sweeps) are evaluated once
-  (:func:`repro.util.sweep.unique_map`);
-* **result caching** - the analytic backends share :func:`repro.core
-  .predictor.predict`'s memo and the simulator backend memoises on the full
-  configuration, so repeats *across* calls are also free (within a
+  (common in partition/throughput sweeps) are evaluated once;
+* **batching** - backends with an ``evaluate_batch`` method (the analytic
+  ones) receive the distinct configurations in one call;
+* **result caching** - the simulator backend memoises on the full
+  configuration, so repeated simulations *across* calls are free (within a
   process);
-* **parallel fan-out** - distinct configurations are mapped over an optional
-  ``concurrent.futures`` pool (``executor="process"`` for the pure-Python
-  engines, which hold the GIL).
+* **parallel fan-out** - for backends without ``evaluate_batch``, distinct
+  configurations are mapped over an optional ``concurrent.futures`` pool
+  (``executor="process"`` for the pure-Python simulator, which holds the
+  GIL).
 
 >>> from repro.apps.workloads import lu_class
 >>> from repro.platforms import cray_xt4
@@ -34,14 +35,14 @@ backends and diff" - see :func:`repro.validation.compare.validate_matrix`.
 from __future__ import annotations
 
 from functools import partial
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Tuple, Union
 
 from repro.apps.base import WavefrontSpec
 from repro.backends.base import BackendResult, PredictionBackend, PredictionRequest
 from repro.backends.registry import BackendSpec, get_backend
 from repro.core.decomposition import CoreMapping, ProcessorGrid
 from repro.core.loggp import Platform
-from repro.util.sweep import unique_map
+from repro.util.sweep import parallel_map
 
 __all__ = ["RequestLike", "as_request", "predict_many", "predict_one"]
 
@@ -70,14 +71,41 @@ def _evaluate_resolved(backend: PredictionBackend, resolved) -> BackendResult:
     return backend.evaluate(spec, platform, grid, mapping)
 
 
-def _predict_batch(backend, resolved) -> List[BackendResult]:
-    """Route a request list through a backend's ``evaluate_batch``.
+def predict_many(
+    requests: Iterable[RequestLike],
+    *,
+    backend: BackendSpec = "analytic-fast",
+    workers: Optional[int] = None,
+    executor: str = "thread",
+) -> List[BackendResult]:
+    """Evaluate every request on ``backend``, returning results in order.
 
-    Mirrors :func:`repro.util.sweep.unique_map`'s deduplication: repeated
-    configurations are evaluated once and the batch result is expanded back
-    to request order.  Unhashable configurations degrade to the undeduplicated
-    full list, exactly like ``unique_map``.
+    ``backend`` is a registered name (``"analytic-fast"``,
+    ``"analytic-exact"``, ``"simulator"``, or anything added with
+    :func:`repro.backends.register_backend`) or a backend instance.
+    Repeated configurations are evaluated once, with one hash each;
+    configurations that cannot be hashed are all evaluated.  Backends
+    implementing the optional batch protocol
+    (:class:`~repro.backends.base.BatchPredictionBackend`, e.g. the analytic
+    ones) receive the distinct configurations in one ``evaluate_batch``
+    call - ``workers``/``executor`` are irrelevant there (the batch already
+    amortises the per-point overhead).  Other backends fan the distinct
+    configurations out over an optional pool (see
+    :func:`repro.util.sweep.parallel_map`); with ``executor="process"`` the
+    per-process caches start cold, so prefer threads when the request list
+    is dominated by duplicates.
+
+    >>> from repro.apps.workloads import lu_class
+    >>> from repro.platforms import cray_xt4
+    >>> requests = [(lu_class("A"), cray_xt4(), c) for c in (4, 16, 4)]
+    >>> results = predict_many(requests)          # the duplicate is free
+    >>> results[0] is results[2]
+    True
+    >>> [result.total_cores for result in results]
+    [4, 16, 4]
     """
+    backend_obj = get_backend(backend)
+    resolved = [as_request(request).resolve() for request in requests]
     try:
         seen: dict = {}
         positions = []
@@ -90,56 +118,19 @@ def _predict_batch(backend, resolved) -> List[BackendResult]:
                 distinct.append(config)
             positions.append(index)
     except TypeError:
-        return list(backend.evaluate_batch(resolved))
-    results = list(backend.evaluate_batch(distinct))
-    if len(results) != len(distinct):
-        raise ValueError(
-            f"backend {backend.name!r} returned {len(results)} results "
-            f"for a batch of {len(distinct)} configurations"
+        distinct, positions = resolved, range(len(resolved))
+    if callable(getattr(backend_obj, "evaluate_batch", None)):
+        results = list(backend_obj.evaluate_batch(distinct))
+        if len(results) != len(distinct):
+            raise ValueError(
+                f"backend {backend_obj.name!r} returned {len(results)} results "
+                f"for a batch of {len(distinct)} configurations"
+            )
+    else:
+        results = parallel_map(
+            partial(_evaluate_resolved, backend_obj), distinct, workers, executor
         )
     return [results[position] for position in positions]
-
-
-def predict_many(
-    requests: Iterable[RequestLike],
-    *,
-    backend: BackendSpec = "analytic-fast",
-    workers: Optional[int] = None,
-    executor: str = "thread",
-) -> List[BackendResult]:
-    """Evaluate every request on ``backend``, returning results in order.
-
-    ``backend`` is a registered name (``"analytic-fast"``,
-    ``"analytic-exact"``, ``"analytic-vec"``, ``"simulator"``, or anything
-    added with :func:`repro.backends.register_backend`) or a backend
-    instance.  Backends implementing the optional batch protocol
-    (:class:`~repro.backends.base.BatchPredictionBackend`, e.g.
-    ``analytic-vec``) receive the whole deduplicated batch in one
-    ``evaluate_batch`` call - ``workers``/``executor`` are irrelevant there
-    (the batch already amortises the per-point overhead).  Other backends
-    fan the distinct configurations out over an optional pool (see
-    :func:`repro.util.sweep.parallel_map`); with ``executor="process"`` the
-    per-process caches start cold, so prefer threads when the request list
-    is dominated by duplicates.
-
-    >>> from repro.apps.workloads import lu_class
-    >>> from repro.platforms import cray_xt4
-    >>> requests = [(lu_class("A"), cray_xt4(), c) for c in (4, 16, 4)]
-    >>> results = predict_many(requests)          # the duplicate is free
-    >>> results[0].time_per_iteration_us == results[2].time_per_iteration_us
-    True
-    >>> batched = predict_many(requests, backend="analytic-vec")
-    >>> [abs(b.time_per_iteration_us - r.time_per_iteration_us) <= 1e-9
-    ...  for b, r in zip(batched, results)]
-    [True, True, True]
-    """
-    backend_obj = get_backend(backend)
-    resolved = [as_request(request).resolve() for request in requests]
-    if callable(getattr(backend_obj, "evaluate_batch", None)):
-        return _predict_batch(backend_obj, resolved)
-    return unique_map(
-        partial(_evaluate_resolved, backend_obj), resolved, workers, executor
-    )
 
 
 def predict_one(

@@ -527,8 +527,9 @@ def _csv_files(analysis: _Analysis) -> Iterator[tuple[str, str, Iterable[tuple]]
     """``(file name, header, rows)`` for every CSV data file with rows.
 
     Floats are written with ``repr`` (the :mod:`csv` module's rule), so the
-    figure data round-trips at full precision.  ``noise_seed`` is always a
-    column; ``fault_seed`` only when some record carries a fault seed.
+    figure data round-trips at full precision.  Every file has a
+    ``noise_seed`` column, and a ``fault_seed`` column when some record
+    carries a fault seed, so seed replicas stay apart.
     """
     fault_seeds = analysis.seeded[1]
     shown = (True, fault_seeds)
@@ -559,15 +560,17 @@ def _csv_files(analysis: _Analysis) -> Iterator[tuple[str, str, Iterable[tuple]]
             )
             for record, measured, diff in analysis.pairs
         )
+    # A curve's key holds its seeds right after its four named fields.
     if analysis.scaling:
         yield "figure6_scaling.csv", (
-            "application platform backend htile scenario total_cores "
+            f"application platform backend {seed_header} htile scenario total_cores "
             "time_per_time_step_s total_time_days communication_fraction"
         ), (
             (
                 app,
                 platform,
                 backend,
+                *map(_blank, _shown(held, shown)),
                 _blank(htile),
                 _blank(member["scenario"]),
                 member["result"]["processors"],
@@ -575,18 +578,19 @@ def _csv_files(analysis: _Analysis) -> Iterator[tuple[str, str, Iterable[tuple]]
                 member["result"]["total_time_days"],
                 member["result"]["communication_fraction"],
             )
-            for (app, platform, backend, htile, *_), members in analysis.scaling
+            for (app, platform, backend, htile, *held), members in analysis.scaling
             for member in members
         )
     if analysis.htile_sweeps:
         yield "figure5_htile.csv", (
-            "application platform backend total_cores scenario htile "
+            f"application platform backend {seed_header} total_cores scenario htile "
             "time_per_time_step_s pipeline_fill_fraction communication_fraction"
         ), (
             (
                 app,
                 platform,
                 backend,
+                *map(_blank, _shown(held, shown)),
                 cores,
                 _blank(member["scenario"]),
                 member["point"]["htile"],
@@ -594,7 +598,7 @@ def _csv_files(analysis: _Analysis) -> Iterator[tuple[str, str, Iterable[tuple]]
                 _blank(member["result"].get("pipeline_fill_fraction")),
                 member["result"]["communication_fraction"],
             )
-            for (app, platform, backend, cores, *_), members in analysis.htile_sweeps
+            for (app, platform, backend, cores, *held), members in analysis.htile_sweeps
             for member in members
         )
 

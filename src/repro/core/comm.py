@@ -60,7 +60,7 @@ def _require_positive_size(message_bytes: float) -> float:
 
 # ---------------------------------------------------------------------------
 # Table 1 kernels over an array namespace ``xp`` (see repro.core.xp): the
-# public functions below run them on floats, analytic-vec on columns.
+# public functions below run them on floats, repro.core.model_vec on columns.
 # ---------------------------------------------------------------------------
 
 def _total_off(xp, params: OffNodeParams, size):

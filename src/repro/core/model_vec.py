@@ -14,13 +14,13 @@ Array backend
 -------------
 
 The model's equations are written once, over an array namespace (see
-:mod:`repro.core.xp`): ``analytic-fast`` runs them on Python floats and this
-module runs the same functions on numpy columns, so both engines perform the
-same IEEE-754 operations in the same order.  This module only groups points
-and gathers their columns.  numpy is optional: without it every point is
-priced through the scalar model (identical numbers, no batching speedup),
-and the first batch evaluated that way logs a one-line warning (see
-:func:`warn_on_fallback` and the optional-numpy policy in the README).
+:mod:`repro.core.xp`): :func:`repro.core.model.iteration_prediction` runs
+them on Python floats and this module runs the same functions on numpy
+columns, so both paths perform the same IEEE-754 operations in the same
+order.  This module only groups points and gathers their columns.  It is
+how the ``analytic-fast`` backend prices every batch.  numpy is optional:
+without it every point is priced through the scalar model (identical
+numbers, no batching speedup; see the optional-numpy policy in the README).
 
 What vectorizes, what falls back
 --------------------------------
@@ -72,7 +72,6 @@ True
 
 from __future__ import annotations
 
-import logging
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from repro.apps.base import AllReduceNonWavefront, NoNonWavefront, WavefrontSpec
@@ -96,7 +95,6 @@ from repro.core.model import (
 )
 from repro.core.multicore import _fill_step_table, _stack_comm_costs
 from repro.core.xp import SCALAR
-from repro.util.caching import memoised
 
 try:
     import numpy as _np
@@ -108,10 +106,7 @@ __all__ = [
     "batch_point_values",
     "have_numpy",
     "point_values",
-    "warn_on_fallback",
 ]
-
-_LOGGER = logging.getLogger(__name__)
 
 #: One resolved configuration: what ``PredictionRequest.resolve()`` returns.
 _Config = Tuple[WavefrontSpec, Platform, ProcessorGrid, CoreMapping]
@@ -120,31 +115,15 @@ _Config = Tuple[WavefrontSpec, Platform, ProcessorGrid, CoreMapping]
 #: Basis: LU class A on cray-xt4 over 1-256 of the even core counts 16-526
 #: (173 of the 256 grids refuse the fold, so most walks hold one point),
 #: best of 11 cold runs on a 2-vCPU VM with numpy 2.4.  With no crossover
-#: analytic-vec took 2.3-8.3x analytic-fast's time; every crossover from 4
-#: to 32 gave at most 1.16x at 1-16 points and 0.58-0.72x at 64-256.
+#: batches took 2.3-8.3x the time of per-point scalar pricing; every
+#: crossover from 4 to 32 gave at most 1.16x at 1-16 points and 0.58-0.72x
+#: at 64-256.
 _COLUMN_CROSSOVER = 16
 
 
 def have_numpy() -> bool:
     """True when batches run on numpy columns (vs the per-point fallback)."""
     return _np is not None
-
-
-@memoised(maxsize=1)
-def warn_on_fallback() -> None:
-    """Log that batches run on the pure-stdlib path, once per cache clear.
-
-    Does nothing while numpy is importable.  The stdlib fallback produces
-    identical results but is much slower, so benchmark numbers taken on it
-    are not comparable with numpy runs; the warning keeps that visible (see
-    the README's optional-numpy section).  Being a memo, it fires again
-    after :func:`repro.core.predictor.clear_prediction_cache`.
-    """
-    if _np is None:
-        _LOGGER.warning(
-            "numpy is not importable; analytic-vec is evaluating batches on "
-            "the pure-stdlib fallback path (identical results, much slower)"
-        )
 
 
 class PointValues(NamedTuple):
@@ -193,7 +172,8 @@ def batch_point_values(configs: Sequence[_Config]) -> List[PointValues]:
     evaluation.
     """
     configs = list(configs)
-    if _np is None:
+    if _np is None or len(configs) < _COLUMN_CROSSOVER:
+        # No group of so small a batch reaches the crossover.
         return [_scalar_point(config) for config in configs]
     results: List[PointValues] = [None] * len(configs)  # type: ignore[list-item]
     # Group by object identity first, then merge equal objects: hashing a

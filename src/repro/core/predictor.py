@@ -5,15 +5,16 @@ application specification, a platform and a processor count, and returns a
 :class:`Prediction` with the iteration time, the time per time step, the
 total run time, and the breakdowns used by the Section 5 analyses.
 
-This module is the *analytic core* of the unified backend architecture: the
-``analytic-fast`` / ``analytic-exact`` backends
-(:class:`repro.backends.analytic.AnalyticBackend`) wrap :func:`predict`, and
-everything above them - the analysis studies, the validation harness and
-the CLI - goes through the batch service layer
+This module is the *analytic core* of the unified backend architecture:
+the ``analytic-fast`` / ``analytic-exact`` backends
+(:class:`repro.backends.analytic.AnalyticBackend`) evaluate the same
+:func:`repro.core.model.iteration_prediction` (``analytic-exact`` through
+:func:`predict` itself), and everything above them - the analysis studies,
+the validation harness and the CLI - goes through the batch service layer
 (:func:`repro.backends.service.predict_many`), which adds request
-deduplication, backend selection (e.g. the discrete-event simulator) and
-pool fan-out on top of the memoisation here.  Call :func:`predict` directly
-when you specifically want the analytic model and its ``Prediction`` detail
+deduplication, batching, backend selection (e.g. the discrete-event
+simulator) and pool fan-out.  Call :func:`predict` directly when you
+specifically want the analytic model and its ``Prediction`` detail
 object.
 
 >>> from repro import predict, cray_xt4

@@ -2,11 +2,11 @@
 
 Each equation of :mod:`repro.core.comm`, :mod:`repro.core.multicore` and
 :mod:`repro.core.model` is written once, as a function of an array namespace
-``xp``: :data:`SCALAR` runs it on Python floats (``analytic-fast`` and
-``analytic-exact``), numpy runs it on struct-of-arrays columns
-(``analytic-vec``, see :mod:`repro.core.model_vec`).  Arithmetic operators
-carry the rest, so both engines perform the same IEEE-754 operations in the
-same order and agree bit for bit by construction.
+``xp``: :data:`SCALAR` runs it on Python floats (one point at a time),
+numpy runs it on struct-of-arrays columns (whole batches, see
+:mod:`repro.core.model_vec`).  Arithmetic operators carry the rest, so both
+paths perform the same IEEE-754 operations in the same order and agree bit
+for bit by construction.
 """
 
 from __future__ import annotations

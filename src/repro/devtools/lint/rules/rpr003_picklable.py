@@ -1,7 +1,6 @@
 """RPR003 - process-pool boundaries need picklable, module-level callables.
 
-``parallel_map`` / ``unique_map`` / ``ParameterSweep.run`` /
-``predict_many`` all accept ``executor="process"``, which ships their
+``parallel_map`` / ``ParameterSweep.run`` / ``predict_many`` all accept ``executor="process"``, which ships their
 callable arguments to a :class:`~concurrent.futures.ProcessPoolExecutor`.
 Lambdas and functions defined inside another function cannot be pickled -
 the failure appears only on the process-pool path, typically in a user's
@@ -25,7 +24,7 @@ from repro.devtools.lint.registry import ModuleRule, register_rule
 __all__ = ["PicklableCallableRule"]
 
 #: Callables whose arguments can cross a process-pool boundary.
-_TARGET_FUNCTIONS = {"parallel_map", "unique_map", "predict_many"}
+_TARGET_FUNCTIONS = {"parallel_map", "predict_many"}
 
 #: Attribute calls treated as sweep fan-out when they carry pool kwargs
 #: (``ParameterSweep.run(fn, workers=..., executor=...)``).

@@ -399,10 +399,18 @@ class SimulatedMachine:
     # -- execution --------------------------------------------------------------------
 
     def run(self, *, max_events: Optional[int] = None) -> MachineStats:
-        """Execute every registered rank program to completion."""
+        """Execute every registered rank program to completion.
+
+        The ``on_mark`` callbacks are dropped when the run returns or
+        raises: they close over the machine, and left in place they would
+        keep it alive as a reference cycle.
+        """
         for rank in self._programs:
             self._schedule_advance(rank, self._start_times.get(rank, 0.0))
-        self.sim.run(max_events=max_events)
+        try:
+            self.sim.run(max_events=max_events)
+        finally:
+            self._mark_callbacks.clear()
         unfinished = [rank for rank, done in self._done.items() if not done]
         if unfinished:
             raise SimulationError(

@@ -480,11 +480,6 @@ class WavefrontSimulator:
             machine.add_rank_program(rank, self._rank_program(rank))
 
         stats = machine.run(max_events=max_events)
-        # Every on_mark callback closes over the machine that holds it.
-        # Dropping them frees the machine, and every mailbox in it, by
-        # reference counting; left as a cycle, a later full collection pays
-        # for it wherever it happens to run.
-        machine._mark_callbacks.clear()
         return self._build_result(stats.makespan, sweep_completion, stats)
 
 

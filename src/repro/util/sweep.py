@@ -112,38 +112,6 @@ def parallel_map(
         return list(pool.map(fn, materialised))
 
 
-def unique_map(
-    fn: Callable[[_T], _R],
-    items: Iterable[_T],
-    workers: Optional[int] = None,
-    executor: str = "thread",
-) -> list[_R]:
-    """Order-preserving map that evaluates each *distinct* item exactly once.
-
-    Duplicate items (by equality; items must be hashable) share one
-    evaluation - the batch prediction service uses this to deduplicate
-    repeated configurations in a request list before fanning out to a pool
-    via :func:`parallel_map`.  Unhashable items fall back to a plain
-    :func:`parallel_map` with no deduplication.
-    """
-    materialised = list(items)
-    try:
-        seen: dict[Any, int] = {}
-        positions = []
-        distinct = []
-        for item in materialised:
-            index = seen.get(item)
-            if index is None:
-                index = len(distinct)
-                seen[item] = index
-                distinct.append(item)
-            positions.append(index)
-    except TypeError:
-        return parallel_map(fn, materialised, workers, executor)
-    results = parallel_map(fn, distinct, workers, executor)
-    return [results[index] for index in positions]
-
-
 @dataclass
 class ParameterSweep:
     """Cartesian-product sweep over named parameter axes.

@@ -43,7 +43,7 @@ class TestStrongScaling:
         )
         assert [p.total_cores for p in measured.points] == [4, 16]
         for model_point, sim_point in zip(analytic.points, measured.points):
-            assert sim_point.prediction is None
+            assert sim_point.result.backend == "simulator"
             assert sim_point.pipeline_fill_fraction is None
             rel = abs(
                 model_point.time_per_time_step_s - sim_point.time_per_time_step_s

@@ -102,8 +102,23 @@ class TestAnalyticBackend:
         assert result.time_per_iteration_us == prediction.time_per_iteration_us
         assert result.total_time_days == prediction.total_time_days
         assert result.computation_fraction == prediction.computation_fraction
-        assert result.prediction is prediction  # shared lru cache
+        assert result.pipeline_fill_per_iteration_us == (
+            prediction.pipeline_fill_per_iteration_us
+        )
         assert result.backend == "analytic-fast"
+
+    def test_vec_is_a_second_name_for_fast(self, spec, xt4_single):
+        assert type(get_backend("analytic-vec")) is AnalyticBackend
+        assert get_backend("analytic-vec") == get_backend("analytic-fast")
+        result = predict_one(spec, xt4_single, total_cores=16, backend="analytic-vec")
+        assert result.backend == "analytic-fast"
+
+    def test_exact_batches_price_each_point_through_predict(self, spec, xt4):
+        requests = [PredictionRequest(spec, xt4, total_cores=c) for c in (4, 16, 64)]
+        for result in predict_many(requests, backend="analytic-exact"):
+            prediction = predict(spec, xt4, grid=result.grid, method="exact")
+            assert result.backend == "analytic-exact"
+            assert result.time_per_iteration_us == prediction.time_per_iteration_us
 
     def test_exact_and_fast_agree(self, spec, xt4):
         fast = predict_one(spec, xt4, total_cores=16, backend="analytic-fast")
@@ -129,7 +144,6 @@ class TestSimulatorBackend:
         simulation = simulate_wavefront(spec, xt4_single, total_cores=16)
         assert result.time_per_iteration_us == simulation.time_per_iteration_us
         assert result.simulation is not None
-        assert result.prediction is None
         assert result.pipeline_fill_per_iteration_us is None
         assert result.pipeline_fill_fraction is None
 
@@ -193,13 +207,20 @@ class TestPredictMany:
 
     def test_parallel_workers_match_serial(self, spec, xt4_single):
         requests = [
-            PredictionRequest(spec, xt4_single, total_cores=c) for c in (4, 16, 64)
+            PredictionRequest(spec, xt4_single, total_cores=c) for c in (4, 16, 4, 64)
         ]
-        serial = predict_many(requests)
-        threaded = predict_many(requests, workers=2, executor="thread")
+        serial = predict_many(requests, backend=_CountingBackend())
+        backend = _CountingBackend()
+        threaded = predict_many(requests, backend=backend, workers=2, executor="thread")
+        assert backend.calls == 3  # the duplicate is evaluated once
+        assert [r.total_cores for r in threaded] == [4, 16, 4, 64]
         assert [r.time_per_iteration_us for r in serial] == [
             r.time_per_iteration_us for r in threaded
         ]
+
+    @pytest.mark.parametrize("backend", ["analytic-fast", "simulator"])
+    def test_empty_request_list(self, backend):
+        assert predict_many([], backend=backend) == []
 
     def test_two_backends_same_codepath_diff(self, xt4_single):
         """The acceptance shape: one matrix, two backends, comparable output."""
@@ -241,11 +262,13 @@ class TestBatchProtocol:
     """The optional ``evaluate_batch`` protocol through ``predict_many``."""
 
     def test_protocol_detection(self):
-        from repro.backends import BatchPredictionBackend, VectorizedAnalyticBackend
+        from repro.backends import BatchPredictionBackend
 
-        assert isinstance(VectorizedAnalyticBackend(), BatchPredictionBackend)
+        assert isinstance(AnalyticBackend(), BatchPredictionBackend)
+        assert isinstance(AnalyticBackend(method="exact"), BatchPredictionBackend)
         assert isinstance(_CountingBatchBackend(), BatchPredictionBackend)
-        assert not isinstance(AnalyticBackend(), BatchPredictionBackend)
+        assert not isinstance(SimulatorBackend(), BatchPredictionBackend)
+        assert not isinstance(_CountingBackend(), BatchPredictionBackend)
 
     def test_one_deduplicated_batch_in_request_order(self, spec, xt4_single):
         backend = _CountingBatchBackend()
@@ -273,15 +296,16 @@ class TestBatchProtocol:
         assert len(backend.batches) == 1  # still one batch, no per-point pool
         assert [r.total_cores for r in results] == [4, 16, 64]
 
-    def test_batch_and_scalar_backends_agree(self, spec, xt4_single):
+    def test_batch_equals_per_point_pricing(self, spec, xt4_single):
         # Sixteen points: smaller groups are priced point by point.
         requests = [
             PredictionRequest(spec, xt4_single, total_cores=c) for c in range(4, 68, 4)
         ]
         assert len(requests) >= model_vec._COLUMN_CROSSOVER
-        scalar = predict_many(requests, backend="analytic-fast")
-        batched = predict_many(requests, backend="analytic-vec")
-        assert [r.time_per_iteration_us for r in scalar] == [
+        fast = get_backend("analytic-fast")
+        per_point = [fast.evaluate(*request.resolve()) for request in requests]
+        batched = predict_many(requests, backend="analytic-fast")
+        assert [r.time_per_iteration_us for r in per_point] == [
             r.time_per_iteration_us for r in batched
         ]
 
@@ -320,14 +344,15 @@ class TestBatchProtocol:
         assert results[0].time_per_iteration_us == results[1].time_per_iteration_us
 
     def test_process_executor_regression_non_batch(self, spec, xt4_single):
-        """Scalar backends keep the per-point pool path bit-for-bit."""
+        """Backends without evaluate_batch keep the per-point pool path
+        bit-for-bit."""
         requests = [
-            PredictionRequest(spec, xt4_single, total_cores=c) for c in (4, 16, 64)
+            PredictionRequest(spec, xt4_single, total_cores=c) for c in (4, 16, 4)
         ]
-        serial = predict_many(requests, backend="analytic-fast")
-        pooled = predict_many(
-            requests, backend="analytic-fast", workers=2, executor="process"
-        )
+        clear_simulation_cache()
+        serial = predict_many(requests, backend="simulator")
+        clear_simulation_cache()
+        pooled = predict_many(requests, backend="simulator", workers=2, executor="process")
         assert [r.time_per_iteration_us for r in serial] == [
             r.time_per_iteration_us for r in pooled
         ]

@@ -129,7 +129,7 @@ class TestVecRecord:
         record = _load("BENCH_vec.json")
         assert record["contract_min_speedup"] >= 10.0
         assert record["speedup"] >= record["contract_min_speedup"], (
-            f"committed analytic-vec speedup {record['speedup']:.1f}x is "
+            f"committed batch-pricing speedup {record['speedup']:.1f}x is "
             f"below the {record['contract_min_speedup']:.0f}x contract - "
             "regenerate BENCH_vec.json or fix the regression"
         )
@@ -157,8 +157,9 @@ class TestVecRecord:
         assert case["max_abs_deviation_us"] == 0.0
 
     def test_vec_about_as_fast_on_small_batches(self):
-        """Priced one or four requests per call, analytic-vec stays within
-        the recorded ratio of analytic-fast (small groups run on floats)."""
+        """Priced one or four requests per call, batch pricing stays within
+        the recorded ratio of per-point pricing (small groups run on
+        floats)."""
         case = _load("BENCH_vec.json")["small_batches"]
         _require(
             case,
@@ -266,6 +267,7 @@ class TestStoreRecord:
             "BENCH_store.json",
             {
                 "benchmark": str,
+                "rounds": int,
                 "records": int,
                 "open_sidecar_s": (int, float),
                 "open_fullparse_s": (int, float),
@@ -285,6 +287,9 @@ class TestStoreRecord:
         assert record["benchmark"] == "store"
         assert record["records"] >= 10_000, (
             "the O(index) open contract is measured on a >= 10,000-record store"
+        )
+        assert record["rounds"] >= 5, (
+            "the open and commit ratios compare medians of >= 5 rounds"
         )
         _require(
             record["shard_merge"],

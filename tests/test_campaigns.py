@@ -962,7 +962,7 @@ class TestReport:
         }
         scaling = (tmp_path / "out" / "figure6_scaling.csv").read_text().splitlines()
         assert scaling[0].startswith(
-            "application,platform,backend,htile,scenario,total_cores"
+            "application,platform,backend,noise_seed,htile,scenario,total_cores"
         )
         assert len(scaling) == 1 + 4  # 2 htile curves x 2 core counts
 
@@ -1059,6 +1059,35 @@ class TestReport:
         assert sorted(r["fault_seed"] for r in rows("validation.csv")) == ["0", "1"]
         report = campaign_report(store_path)
         assert "| fault seed |" in report
+
+    def test_figure_csvs_tell_seed_replicas_apart(self, tmp_path):
+        """Scaling and Htile curve rows carry the seed columns, so replicas
+        that differ only in fault seed are distinct rows."""
+        spec = CampaignSpec(
+            name="fault-seed-curves",
+            apps=("lu-classA",),
+            platforms=("cray-xt4", "cray-xt4-1core"),
+            total_cores=(4, 16),
+            htiles=(1.0, 2.0),
+            backends=("analytic-fast", "simulator"),
+            fault_models=("mtbf:1e7/repair:1e6/restart:1e5/interval:1e4/dump:5e3",),
+            fault_seeds=(0, 1),
+        )
+        store_path = tmp_path / "fault-seeds.store"
+        run_campaign(spec, store=store_path)
+        write_report(store_path, tmp_path / "out")
+        for name, axis in (("figure6_scaling.csv", "total_cores"), ("figure5_htile.csv", "htile")):
+            with (tmp_path / "out" / name).open(newline="") as handle:
+                header, *rows = list(csv.reader(handle))
+            simulated = [row for row in rows if row[header.index("backend")] == "simulator"]
+            # 2 platforms x 2 held values x 2 fault seeds x 2 axis values.
+            assert len(simulated) == 16, name
+            # The columns that say which point a row is: every one up to
+            # the curve's axis.
+            identities = {tuple(row[: header.index(axis) + 1]) for row in simulated}
+            assert len(identities) == len(simulated), name
+            seeds = {row[header.index("fault_seed")] for row in simulated}
+            assert sorted(seeds) == ["0", "1"], name
 
     def test_fault_seed_column_only_when_a_record_has_one(self, tmp_path):
         store_path = tmp_path / "plain.store"

@@ -5,15 +5,14 @@ Three families of contracts over the registered prediction backends:
 * **fast = exact**: the closed-form/period-folded analytic engine agrees
   with the reference grid walk to 1e-9 relative on every matrix entry,
   including heterogeneous scenario platforms;
-* **vec = fast**: the vectorized batch backend (``analytic-vec``) runs
-  the scalar fast path's equations on numpy columns, so it reproduces it
-  on the same matrix (to 1e-9 relative point by point, exactly when each
-  platform's matrix is priced as one batch) and exactly on the scenario
-  platforms - on the numpy path *and* on the pure-stdlib fallback
-  (``model_vec._np = None``), which prices each point through the scalar
-  model.  Groups smaller than ``model_vec._COLUMN_CROSSOVER`` are priced
-  point by point on numpy too, so the batch tests below use batches at
-  least that large;
+* **vec = fast**: the fast engine prices batches by running the scalar
+  model's equations on numpy columns, so a batch reproduces the scalar
+  model priced one point at a time, exactly, on the homogeneous matrix and
+  on the scenario platforms - on the numpy path *and* on the pure-stdlib
+  fallback (``model_vec._np = None``), which prices each point through the
+  scalar model.  Groups smaller than ``model_vec._COLUMN_CROSSOVER`` are
+  priced point by point on numpy too, so the batch tests below use batches
+  at least that large (and a one-point batch is the per-point reference);
 * **analytic vs simulator**: on the noise-free homogeneous matrix the
   analytic model stays within a pinned tolerance of the discrete-event
   "measurement" (the paper's <5%/<10% validation claim, with head-room for
@@ -43,14 +42,16 @@ from __future__ import annotations
 import pytest
 
 from repro.apps.workloads import standard_workloads
+from repro.backends.analytic import AnalyticBackend
 from repro.backends.registry import available_backends
-from repro.backends.service import predict_many, predict_one
+from repro.backends.service import as_request, predict_many, predict_one
 from repro.backends.simulator import simulation_cache_info
 from repro.core import model_vec
 from repro.core.faults import FaultModel
 from repro.core.hetero import NoNoise, SampledNoise, SlowdownWindow, SpeedProfile
 from repro.core.predictor import (
     clear_prediction_cache,
+    predict,
     prediction_cache_info,
 )
 from repro.platforms import cray_xt4, cray_xt4_quad_chip, cray_xt4_single_core
@@ -84,7 +85,7 @@ def _matrix_id(entry) -> str:
     return f"{app}-{platform_name}-P{cores}"
 
 
-#: Htile values that turn a platform's matrix into one ``analytic-vec``
+#: Htile values that turn a platform's matrix into one ``analytic-fast``
 #: batch in which every grid shape holds ``len(APPS) * len(BATCH_HTILES)``
 #: points - at least ``model_vec._COLUMN_CROSSOVER``, so the group and its
 #: fill walks are priced on columns, not point by point.
@@ -102,18 +103,30 @@ def _batch(platform, cores=CORE_COUNTS):
     ]
 
 
+def _fields(result) -> tuple:
+    return (
+        result.time_per_iteration_us,
+        result.computation_per_iteration_us,
+        result.pipeline_fill_per_iteration_us,
+        result.phases,
+    )
+
+
 def _priced_fields(requests, backend: str) -> list[tuple]:
     """Every float of each result, the requests priced as one batch."""
     clear_prediction_cache()
-    return [
-        (
-            result.time_per_iteration_us,
-            result.computation_per_iteration_us,
-            result.pipeline_fill_per_iteration_us,
-            result.phases,
-        )
-        for result in predict_many(requests, backend=backend)
-    ]
+    return [_fields(result) for result in predict_many(requests, backend=backend)]
+
+
+def _per_point_fields(requests) -> list[tuple]:
+    """Every float of each result, each request priced on its own.
+
+    A one-point batch is below ``model_vec._COLUMN_CROSSOVER``, so it runs
+    the scalar model on floats: the reference the column paths must equal.
+    """
+    assert model_vec._COLUMN_CROSSOVER > 1
+    backend = AnalyticBackend()
+    return [_fields(backend.evaluate(*as_request(request).resolve())) for request in requests]
 
 
 class TestFastEqualsExact:
@@ -166,35 +179,31 @@ class TestFastEqualsExact:
 
 
 class TestVecEqualsFast:
-    """``analytic-vec`` reproduces the scalar fast path, point by point and
-    as batches priced on columns."""
+    """Batches priced on columns reproduce the scalar fast model priced one
+    point at a time."""
 
     @pytest.mark.parametrize("entry", MATRIX, ids=_matrix_id)
     def test_homogeneous_matrix(self, entry):
         app, platform_name, cores = entry
         platform = PLATFORMS[platform_name]()
-        fast = predict_one(_spec(app), platform, total_cores=cores, backend="analytic-fast")
+        scalar = predict(_spec(app), platform, total_cores=cores, method="fast")
         vec = predict_one(_spec(app), platform, total_cores=cores, backend="analytic-vec")
-        assert vec.time_per_iteration_us == pytest.approx(
-            fast.time_per_iteration_us, rel=1e-9
+        iteration = scalar.iteration
+        assert vec.time_per_iteration_us == scalar.time_per_iteration_us
+        assert vec.computation_per_iteration_us == scalar.computation_per_iteration_us
+        assert vec.pipeline_fill_per_iteration_us == scalar.pipeline_fill_per_iteration_us
+        assert vec.phases == (
+            ("pipeline_fill", iteration.pipeline_fill_time),
+            ("stack", iteration.nsweeps * iteration.stack.total),
+            ("nonwavefront", iteration.tnonwavefront),
         )
-        assert vec.computation_per_iteration_us == pytest.approx(
-            fast.computation_per_iteration_us, rel=1e-9
-        )
-        for (fast_name, fast_time), (vec_name, vec_time) in zip(
-            fast.phases, vec.phases
-        ):
-            assert fast_name == vec_name
-            assert vec_time == pytest.approx(fast_time, rel=1e-9, abs=1e-9)
 
     @pytest.mark.parametrize("platform_name", sorted(PLATFORMS))
     def test_platform_matrix_as_one_batch(self, platform_name):
         """Covers both fill-corner column paths: closed form on single-core
         nodes, walks on multi-core ones."""
         requests = _batch(PLATFORMS[platform_name]())
-        assert _priced_fields(requests, "analytic-vec") == _priced_fields(
-            requests, "analytic-fast"
-        )
+        assert _priced_fields(requests, "analytic-fast") == _per_point_fields(requests)
         clear_prediction_cache()
 
     @pytest.mark.parametrize(
@@ -220,71 +229,17 @@ class TestVecEqualsFast:
     )
     def test_scenario_platforms(self, platform_builder):
         requests = _batch(platform_builder(), cores=(16, 64))
-        assert _priced_fields(requests, "analytic-vec") == _priced_fields(
-            requests, "analytic-fast"
-        )
+        assert _priced_fields(requests, "analytic-fast") == _per_point_fields(requests)
         clear_prediction_cache()
 
-    def test_pure_stdlib_fallback_matches(self, monkeypatch, caplog):
-        """Without numpy the per-point fallback produces the same numbers,
-        and the backend warns exactly once about the slower path."""
-        import logging
-
-        from repro.core import model_vec
-
-        platform = cray_xt4_quad_chip()
-        reference = predict_one(
-            _spec("chimaera-240"), platform, total_cores=64, backend="analytic-fast"
-        )
-        clear_prediction_cache()
+    def test_pure_stdlib_fallback_matches(self, monkeypatch):
+        """Without numpy a batch is priced point by point through the scalar
+        model: the same numbers as the column paths."""
+        requests = _batch(cray_xt4_quad_chip(), cores=(16, 64))
+        reference = _per_point_fields(requests)
         monkeypatch.setattr(model_vec, "_np", None)
         assert not model_vec.have_numpy()
-        with caplog.at_level(logging.WARNING, logger="repro.core.model_vec"):
-            result = predict_one(
-                _spec("chimaera-240"), platform, total_cores=64, backend="analytic-vec"
-            )
-            again = predict_one(
-                _spec("chimaera-240"), platform, total_cores=16, backend="analytic-vec"
-            )
-        assert result.time_per_iteration_us == reference.time_per_iteration_us
-        assert again.time_per_iteration_us > 0.0
-        fallback_warnings = [
-            record for record in caplog.records if "stdlib fallback" in record.message
-        ]
-        assert len(fallback_warnings) == 1, "the fallback warning fires once"
-        # Back on the numpy path nothing changes (and the memo was bypassed:
-        # the monkeypatched run serves fresh evaluations after the clear).
-        clear_prediction_cache()
-
-    def test_fallback_warning_resets_with_the_caches(self, monkeypatch, caplog):
-        import logging
-
-        from repro.core import model_vec
-
-        monkeypatch.setattr(model_vec, "_np", None)
-        clear_prediction_cache()
-        with caplog.at_level(logging.WARNING, logger="repro.core.model_vec"):
-            predict_one(
-                _spec("lu-classA"), cray_xt4(), total_cores=16, backend="analytic-vec"
-            )
-            clear_prediction_cache()  # also resets the once-only warning latch
-            predict_one(
-                _spec("lu-classA"), cray_xt4(), total_cores=16, backend="analytic-vec"
-            )
-        fallback_warnings = [
-            record for record in caplog.records if "stdlib fallback" in record.message
-        ]
-        assert len(fallback_warnings) == 2
-        clear_prediction_cache()
-
-    def test_no_fallback_warning_while_numpy_imports(self, monkeypatch, caplog):
-        import logging
-
-        monkeypatch.setattr(model_vec, "_np", object())  # numpy importable
-        clear_prediction_cache()
-        with caplog.at_level(logging.WARNING, logger="repro.core.model_vec"):
-            model_vec.warn_on_fallback()
-        assert not [r for r in caplog.records if "stdlib fallback" in r.message]
+        assert _priced_fields(requests, "analytic-vec") == reference
         clear_prediction_cache()
 
 
@@ -374,14 +329,15 @@ class TestHomogeneousLimit:
                 ), f"{label} on {plain.name} drifted through {backend}"
 
     def test_bit_identical_on_vec_columns(self):
-        """The same contract for ``analytic-vec`` batches priced on columns
-        (the test above prices one point at a time)."""
+        """The same contract for batches priced on columns (the test above
+        prices one point at a time): each trivial variant's batch equals the
+        plain platform priced point by point."""
         for platform_builder in (cray_xt4_single_core, cray_xt4):
             plain = platform_builder()
-            reference = _priced_fields(_batch(plain), "analytic-vec")
+            reference = _per_point_fields(_batch(plain))
             for label, decorated in _trivial_variants(plain).items():
-                assert _priced_fields(_batch(decorated), "analytic-vec") == reference, (
-                    f"{label} on {plain.name} drifted through analytic-vec batches"
+                assert _priced_fields(_batch(decorated), "analytic-fast") == reference, (
+                    f"{label} on {plain.name} drifted through column batches"
                 )
         clear_prediction_cache()
 
@@ -407,11 +363,11 @@ class TestFaultFreeLimit:
 
     Every new knob at its trivial value - infinite MTBF, zero dump cost,
     factor-1.0 slowdown windows - must leave the prediction bit-identical
-    on the full 18-config matrix, through the simulator and both analytic
-    engines (``docs/faults.md`` states this as the layer's first contract).
+    on the full 18-config matrix, through the simulator and the analytic
+    model (``docs/faults.md`` states this as the layer's first contract).
     """
 
-    BACKENDS = ("analytic-fast", "analytic-vec", "simulator")
+    BACKENDS = ("analytic-fast", "simulator")
 
     @pytest.mark.parametrize("entry", MATRIX, ids=_matrix_id)
     def test_null_knobs_are_bit_identical(self, entry):
@@ -529,7 +485,7 @@ class TestCacheInvalidationContract:
 
     def test_clears_all_registered_caches(self):
         platform = cray_xt4()
-        predict_one(_spec("lu-classA"), platform, total_cores=4, backend="analytic-fast")
+        predict(_spec("lu-classA"), platform, total_cores=4)
         predict_one(_spec("lu-classA"), platform, total_cores=4, backend="simulator")
         assert prediction_cache_info().currsize > 0
         assert simulation_cache_info().currsize > 0
@@ -551,7 +507,7 @@ class TestCacheInvalidationContract:
             backend="analytic-vec",
         )
         predict_many([point.request()], backend="analytic-vec")
-        predict_one(_spec("lu-classA"), cray_xt4(), total_cores=4, backend="analytic-fast")
+        predict(_spec("lu-classA"), cray_xt4(), total_cores=4)
         predict_one(_spec("lu-classA"), cray_xt4(), total_cores=4, backend="simulator")
         get_campaign("htile-sweep")
         filled = [memo.__qualname__ for memo in MEMOS if memo.cache_info().currsize]

@@ -1,14 +1,14 @@
-"""``analytic-vec`` on mixed batches at fold scale.
+"""Column batches of the analytic model at fold scale.
 
-The conformance suite prices ``analytic-vec`` on small machines, where the
-period fold never engages.  Campaigns hand the vectorized evaluator
-thousand-point batches instead: many grid shapes per ``(platform, mapping)``
-group, shapes that fold onto the same small grid and share one walk, shapes
-the fold refuses, single-core groups priced in closed form, and straggler
-platforms whose corrections are priced once per grid.  These tests price such batches in
-one call and require every float to equal ``analytic-fast`` exactly, and
-the result not to depend on how the batch is chunked - on numpy and in a
-process where numpy cannot be imported at all.
+The conformance suite prices batches on small machines, where the period
+fold never engages.  Campaigns hand the batch evaluator thousand-point
+batches instead: many grid shapes per ``(platform, mapping)`` group, shapes
+that fold onto the same small grid and share one walk, shapes the fold
+refuses, single-core groups priced in closed form, and straggler platforms
+whose corrections are priced once per grid.  These tests price such batches
+in one call and require every float to equal the scalar model priced one
+point at a time exactly, and the result not to depend on how the batch is
+chunked - on numpy and in a process where numpy cannot be imported at all.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import pytest
 
 import repro
 from repro.apps.workloads import lu_class, standard_workloads
+from repro.backends.analytic import AnalyticBackend
 from repro.backends.service import as_request, predict_many
 from repro.campaigns.spec import CampaignSpec
 from repro.core import model_vec
@@ -79,9 +80,18 @@ def _assert_identical(vec, fast) -> None:
         assert got.phases == want.phases
 
 
-def _priced(requests, backend: str):
+def _priced(requests):
+    """The requests priced as one batch."""
     clear_prediction_cache()
-    return predict_many(requests, backend=backend)
+    return predict_many(requests, backend="analytic-fast")
+
+
+def _per_point(requests):
+    """Each request priced on its own: a one-point batch is below
+    ``model_vec._COLUMN_CROSSOVER``, so it runs the scalar model."""
+    assert model_vec._COLUMN_CROSSOVER > 1
+    backend = AnalyticBackend()
+    return [backend.evaluate(*as_request(request).resolve()) for request in requests]
 
 
 def _chunked_points(configs, size: int):
@@ -111,12 +121,10 @@ class TestMixedBatchesAtFoldScale:
         assert any(key[4] and key[5] for key in geometries)
         assert max(len(shapes) for shapes in geometries.values()) > 1
 
-    def test_one_batch_equals_fast_bit_for_bit(self):
+    def test_one_batch_equals_per_point_bit_for_bit(self):
         requests = _requests(_even_grid_cores(16384, 40), (1.0, 2.5, 4.0, 7.5))
         assert len(requests) > CHUNK
-        fast = _priced(requests, "analytic-fast")
-        vec = _priced(requests, "analytic-vec")
-        _assert_identical(vec, fast)
+        _assert_identical(_priced(requests), _per_point(requests))
         clear_prediction_cache()
 
     def test_chunked_pricing_equals_whole_batch(self):
@@ -125,12 +133,11 @@ class TestMixedBatchesAtFoldScale:
         whole = model_vec.batch_point_values(configs)
         assert _chunked_points(configs, CHUNK) == whole
 
-    def test_stdlib_path_equals_fast_and_chunks(self, monkeypatch):
+    def test_stdlib_path_equals_columns_and_chunks(self, monkeypatch):
         requests = _requests(_even_grid_cores(16384, 8), (1.0, 4.0))
-        fast = _priced(requests, "analytic-fast")
+        columns = _priced(requests)
         monkeypatch.setattr(model_vec, "_np", None)
-        vec = _priced(requests, "analytic-vec")
-        _assert_identical(vec, fast)
+        _assert_identical(_priced(requests), columns)
         configs = [request.resolve() for request in requests]
         assert _chunked_points(configs, 64) == model_vec.batch_point_values(configs)
         clear_prediction_cache()
@@ -158,7 +165,7 @@ SCENARIO_PLATFORMS = {
 
 class TestScenarioPlatformsAtFoldScale:
     @pytest.mark.parametrize("name", sorted(SCENARIO_PLATFORMS))
-    def test_one_batch_equals_fast_bit_for_bit(self, name):
+    def test_one_batch_equals_per_point_bit_for_bit(self, name):
         platform = SCENARIO_PLATFORMS[name]()
         workloads = standard_workloads()
         requests = [
@@ -167,9 +174,7 @@ class TestScenarioPlatformsAtFoldScale:
             for htile in (1.0, 4.0)
             for cores in _even_grid_cores(16384, 12)
         ]
-        _assert_identical(
-            _priced(requests, "analytic-vec"), _priced(requests, "analytic-fast")
-        )
+        _assert_identical(_priced(requests), _per_point(requests))
         clear_prediction_cache()
 
 
@@ -191,11 +196,9 @@ class TestManySmallGrids:
         assert min(walks.values()) < model_vec._COLUMN_CROSSOVER
         assert max(walks.values()) >= model_vec._COLUMN_CROSSOVER
 
-    def test_one_batch_equals_fast_bit_for_bit(self):
+    def test_one_batch_equals_per_point_bit_for_bit(self):
         requests = self._requests()
-        _assert_identical(
-            _priced(requests, "analytic-vec"), _priced(requests, "analytic-fast")
-        )
+        _assert_identical(_priced(requests), _per_point(requests))
         clear_prediction_cache()
 
     def test_small_chunks_equal_whole_batch(self):
@@ -209,13 +212,17 @@ class TestManySmallGrids:
 _NO_NUMPY_SCRIPT = """
 import json, sys
 sys.modules["numpy"] = None
+from repro.backends.analytic import AnalyticBackend
 from repro.backends.service import predict_many
 from repro.campaigns.spec import CampaignSpec
 from repro.cli import main
 from repro.core import model_vec
 
-status = main(["predict", "--app", "sweep3d-20m", "--platform",
-               "cray-xt4-quad-chip", "--cores", "4096", "--backend", "analytic-vec"])
+statuses = [
+    main(["predict", "--app", "sweep3d-20m", "--platform",
+          "cray-xt4-quad-chip", "--cores", "4096", "--backend", backend])
+    for backend in ("analytic-fast", "analytic-vec")
+]
 spec = CampaignSpec(
     name="no-numpy", apps=("lu-classA", "sweep3d-20m", "chimaera-240"),
     platforms=("cray-xt4", "cray-xt4-quad-chip"), total_cores=CORES,
@@ -223,23 +230,24 @@ spec = CampaignSpec(
     speed_profiles=("none", "stragglers:1x2.0"),
 )
 requests = [point.request() for point in spec.points()]
-vec = predict_many(requests, backend="analytic-vec")
-fast = predict_many(requests, backend="analytic-fast")
+batch = predict_many(requests, backend="analytic-vec")
+per_point = [AnalyticBackend().evaluate(*request.resolve()) for request in requests]
 fields = lambda r: (r.time_per_iteration_us, r.computation_per_iteration_us,
                     r.pipeline_fill_per_iteration_us, r.phases)
 print(json.dumps({
-    "status": status,
+    "statuses": statuses,
     "have_numpy": model_vec.have_numpy(),
     "points": len(requests),
-    "differing": sum(fields(v) != fields(f) for v, f in zip(vec, fast)),
+    "differing": sum(fields(b) != fields(p) for b, p in zip(batch, per_point)),
 }))
 """
 
 
 class TestWithoutNumpy:
     def test_cli_and_batches_run_without_numpy(self):
-        """A real no-numpy interpreter: ``wavebench predict`` works, batches
-        equal ``analytic-fast`` exactly, and the fallback warns once."""
+        """A real no-numpy interpreter: ``wavebench predict`` works on both
+        spellings of the analytic backend, and batches equal per-point
+        pricing exactly."""
         script = _NO_NUMPY_SCRIPT.replace(
             "CORES", repr(_even_grid_cores(16384, 8))
         )
@@ -253,8 +261,7 @@ class TestWithoutNumpy:
         )
         assert completed.returncode == 0, completed.stderr
         summary = json.loads(completed.stdout.strip().splitlines()[-1])
-        assert summary["status"] == 0
+        assert summary["statuses"] == [0, 0]
         assert summary["have_numpy"] is False
         assert summary["points"] > 100
         assert summary["differing"] == 0
-        assert completed.stderr.count("stdlib fallback") == 1

@@ -6,6 +6,9 @@ blocking semantics, rendezvous messages must also wait for the receive to be
 posted.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.comm import (
@@ -169,6 +172,31 @@ class TestBarriersAndMarks:
         stats = machine.run()
         assert stats.ranks[0].finish_time == pytest.approx(11.0)
         assert stats.ranks[0].barrier_time == pytest.approx(10.0)
+
+    @pytest.mark.parametrize(
+        "tail",
+        [(), (Send(5, 10, 0),)],  # an unknown destination raises mid-run
+        ids=["returns", "raises"],
+    )
+    def test_machine_is_freed_on_del(self, xt4, tail):
+        """``run`` drops the ``on_mark`` callbacks, which close over the
+        machine, so reference counting alone frees it afterwards."""
+        machine = SimulatedMachine(xt4, 1)
+        machine.define_barrier("go")
+        machine.on_mark("ready", 1, lambda t: machine.release_barrier("go"))
+        machine.add_rank_program(0, iter([Compute(1.0), Mark("ready"), *tail]))
+        freed = weakref.ref(machine)
+        gc.disable()
+        try:
+            if tail:
+                with pytest.raises(SimulationError):
+                    machine.run()
+            else:
+                machine.run()
+            del machine
+            assert freed() is None
+        finally:
+            gc.enable()
 
     def test_released_barrier_does_not_block(self, xt4):
         machine = SimulatedMachine(xt4, 1)

@@ -9,40 +9,7 @@ from repro.util.sweep import (
     geometric_range,
     parallel_map,
     powers_of_two,
-    unique_map,
 )
-
-
-def test_unique_map_evaluates_each_distinct_item_once():
-    calls = []
-
-    def record(item):
-        calls.append(item)
-        return item * 10
-
-    assert unique_map(record, [3, 1, 3, 2, 1]) == [30, 10, 30, 20, 10]
-    assert calls == [3, 1, 2]
-
-
-def test_unique_map_preserves_order_with_workers():
-    assert unique_map(lambda x: -x, [5, 5, 4, 5], workers=2, executor="thread") == [
-        -5, -5, -4, -5,
-    ]
-
-
-def test_unique_map_unhashable_items_fall_back():
-    calls = []
-
-    def record(item):
-        calls.append(item)
-        return sum(item)
-
-    assert unique_map(record, [[1, 2], [1, 2]]) == [3, 3]
-    assert len(calls) == 2  # no dedup possible, but results still correct
-
-
-def test_unique_map_empty():
-    assert unique_map(lambda x: x, []) == []
 
 
 def test_powers_of_two_inclusive():

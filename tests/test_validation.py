@@ -147,22 +147,25 @@ class TestDiffBackends:
         assert result.relative_error == 0.0
 
     def test_vec_candidate_subtracts_its_nonwavefront_phase(self):
-        """analytic-vec results carry no Prediction detail; their
-        "nonwavefront" phase is subtracted, exactly as analytic-fast's."""
+        """Batch-priced analytic results have their "nonwavefront" phase
+        subtracted: the scalar model's time minus its Tnonwavefront term,
+        priced one point at a time."""
         from repro.apps.workloads import lu_class
+        from repro.core.predictor import predict
         from repro.platforms import cray_xt4
 
         cases = [(lu_class("A"), cray_xt4(), 16), (lu_class("A"), cray_xt4(), 64)]
-        fast, vec = (
-            validate_matrix(cases, simulate_nonwavefront=False, model_backend=backend)
-            for backend in ("analytic-fast", "analytic-vec")
-        )
-        assert [r.model_us for r in vec.results] == [r.model_us for r in fast.results]
+        reference = []
+        for spec, platform, cores in cases:
+            scalar = predict(spec, platform, total_cores=cores, method="fast")
+            reference.append(scalar.time_per_iteration_us - scalar.iteration.tnonwavefront)
+        vec = validate_matrix(cases, simulate_nonwavefront=False, model_backend="analytic-vec")
+        assert [r.model_us for r in vec.results] == reference
         single = validate_configuration(
             lu_class("A"), cray_xt4(), total_cores=16,
             simulate_nonwavefront=False, model_backend="analytic-vec",
         )
-        assert single.model_us == fast.results[0].model_us
+        assert single.model_us == reference[0]
 
     def test_unadjustable_candidate_with_nonwavefront_off_rejected(self, problem, xt4_single):
         """A backend that can neither subtract Tnonwavefront nor be
@@ -176,7 +179,7 @@ class TestDiffBackends:
                 inner = get_backend("simulator").evaluate(
                     spec, platform, grid, core_mapping
                 )
-                return inner  # carries no .prediction detail
+                return inner  # carries no "nonwavefront" phase
 
         with pytest.raises(ValueError, match="simulate_nonwavefront"):
             validate_configuration(
