@@ -16,8 +16,8 @@ speedup on a 10,000-point grid and asserts the backend contract:
   two paths are in fact bit-identical),
 * the batch is at least 10x faster on the full grid,
 * the batch is never slower than per-point pricing on a matrix of many
-  distinct small grids, whose walks mostly hold one point each (the case
-  the float crossover in :mod:`repro.core.model_vec` exists for), and
+  distinct small grids (the matrix the float crossover in
+  :mod:`repro.core.model_vec` was measured on), and
 * priced one or four requests per ``predict_many`` call - the way
   ``predict_one``, a CLI ``predict`` or a golden-section search send
   points to it - the batch path costs about what per-point pricing does:
@@ -60,8 +60,10 @@ MIN_SPEEDUP = 10.0
 #: Cold rounds per side; each side's time is its best round.
 ROUNDS = 5
 RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_vec.json"
-#: LU class A on cray-xt4 over 256 even core counts: 173 of the grids refuse
-#: the period fold, so most fill walks hold a single point.
+#: LU class A on cray-xt4 over 256 even core counts: the matrix the float
+#: crossover was measured on, when cray-xt4 still took the period fold and
+#: most of its fill walks held a single point.  Its 1x2 nodes are one core
+#: wide, so a batch now prices the whole matrix as one closed-form group.
 SMALL_GRID_CORES = range(16, 528, 2)
 #: Cold rounds per side on the small-grid matrix (each takes milliseconds).
 SMALL_GRID_ROUNDS = 11

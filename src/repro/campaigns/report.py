@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Optional, Union
 
-from repro.campaigns.spec import CampaignSpec
+from repro.campaigns.spec import CampaignPoint, CampaignSpec
 from repro.campaigns.store import ResultStore, as_store
 from repro.util.tables import format_markdown
 from repro.validation.compare import ValidationResult, ValidationSummary
@@ -247,7 +247,7 @@ class _Analysis:
     """One read of a store, sorted and grouped once for every output.
 
     Each record carries its rendered scenario cell under ``"scenario"``.
-    ``missing`` of the spec's ``points`` are absent from the store.
+    ``missing`` of the spec's ``points`` match no stored record's point.
     ``seeded`` says, per :data:`_SEED_FIELDS` entry, whether any record
     carries that seed.
     """
@@ -267,13 +267,16 @@ class _Analysis:
 
 def _analyse(store: ResultStore) -> _Analysis:
     spec = None if store.spec_dict is None else CampaignSpec.from_dict(store.spec_dict)
+    records = list(store.records())
     missing = points = 0
     if spec is not None:
         spec_points = spec.points()
         points = len(spec_points)
-        missing = sum(1 for point in spec_points if point.key() not in store)
+        # Match points by value, not by content key: a key is a sha256 of
+        # the same fields, and the runner has already hashed these points.
+        stored = {CampaignPoint.from_dict(record["point"]) for record in records}
+        missing = sum(1 for point in spec_points if point not in stored)
 
-    records = list(store.records())
     for record in records:
         record["scenario"] = _scenario_cell(record["point"])
     records.sort(key=_sort_key)

@@ -35,21 +35,24 @@ paper's largest study size (131,072 processors, a 512 x 256 array) that walk
 dominates every sweep-heavy analysis.  Two observations make a fast path with
 identical results possible:
 
-* **Homogeneous costs** (one core per node): every grid position pays the same
-  communication costs, so the maximising path of equation (r2b) is known in
-  closed form - descend to the last row first (earning the ``ReceiveN`` term
-  on every eastward step), then traverse east.  ``StartP(n, m)`` reduces to a
-  max-plus expression over the two lattice directions; no grid walk at all.
+* **Mappings one core wide** (``Cx = 1``: single-core nodes, the dual-core
+  XT4's 1x2 nodes, column-wise placements): the Table 6 hop classes make
+  ``TotalCommE`` and ``SendE`` depend on the column alone, and ``ReceiveN``
+  and ``TotalCommS`` on the row alone, so one core wide every monotone path
+  pays the same east and south sums.  The maximising path of equation
+  (r2b) is then known in closed form - descend column 1 to the row residue
+  with the largest ``ReceiveN`` (earning it on every eastward step), then
+  traverse east.  No grid walk at all.
 
-* **Periodic costs** (multi-core nodes): the Table 6 on-chip/off-node
-  classification depends only on ``i mod Cx`` and ``j mod Cy``, so the cost
-  field repeats with the node's core rectangle.  Beyond a transient of a few
-  periods the recurrence grows *exactly* linearly per period in each
-  direction, so it suffices to evaluate a small folded grid (a few periods a
-  side, holding the full-grid per-tile costs fixed) plus a linear
-  extrapolation.  The folded evaluator verifies the linearity numerically
-  (second differences and the cross term) and falls back to the exact walk
-  whenever the grid is too small to fold or the check fails.
+* **Wider periodic costs** (``Cx > 1``): the classification depends only on
+  ``i mod Cx`` and ``j mod Cy``, so the cost field repeats with the node's
+  core rectangle.  Beyond a transient of a few periods the recurrence grows
+  *exactly* linearly per period in each direction, so it suffices to
+  evaluate a small folded grid (a few periods a side, holding the full-grid
+  per-tile costs fixed) plus a linear extrapolation.  The folded evaluator
+  verifies the linearity numerically (second differences and the cross
+  term) and falls back to the exact walk whenever the grid is too small to
+  fold or the check fails.
 
 ``fill_times`` selects the evaluator automatically (``method="auto"``);
 ``method="exact"`` forces the reference recurrence, which the tests use to
@@ -245,21 +248,30 @@ def _slowest(platform: Platform, grid: ProcessorGrid, mapping: CoreMapping) -> f
     return max_multiplier(profile, grid, mapping)
 
 
-def _startp_closed(xp, n, m, w, wpre, costs):
-    """Closed-form ``StartP`` corners for position-independent costs.
+def _startp_closed(xp, n, m, w, wpre, column):
+    """Closed-form ``StartP`` corners for a mapping one core wide (``Cx = 1``).
 
-    Every monotone path from ``(1, 1)`` to ``(n, m)`` takes ``n - 1`` east
-    and ``m - 1`` south steps; the only path-dependent term is the
-    ``ReceiveN`` earned by east steps taken below row 1.  Since ``ReceiveN``
-    is non-negative, the maximising path descends first and then traverses
-    east, which yields the expressions below.
+    ``column`` holds the cost entries of the row residues ``j mod Cy``.
+    One core wide, TotalCommE and SendE are the same in every column and
+    ReceiveN and TotalCommS depend on the row alone, so every monotone
+    path pays the same east and south sums plus the ``ReceiveN`` of each
+    east step taken below row 1.  ``ReceiveN`` is non-negative, so the
+    maximising path descends column 1 to the row with the largest
+    ``ReceiveN`` among rows ``2..m`` (``R*``), then traverses east.
     """
-    comm_e, recv_n, send_e, comm_s = costs
-    tdiag = wpre + (m - 1) * (w + xp.where(n > 1, send_e, 0.0) + comm_s)
+    cy = len(column)
+    comm_e, _recv_n, send_e, _comm_s = column[0]
+    send_e = xp.where(n > 1, send_e, 0.0)
+    tdiag = wpre
+    r_star = 0.0
+    for jm, (_comm_e, recv_n, _send_e, comm_s) in enumerate(column):
+        count = _count_residue(2, m, cy, jm)
+        tdiag = tdiag + count * (w + send_e + comm_s)
+        r_star = xp.maximum(r_star, xp.where(count > 0, recv_n, 0.0))
     tfull = xp.where(
         m == 1,
         wpre + (n - 1) * (w + comm_e),
-        tdiag + (n - 1) * (w + comm_e + recv_n),
+        tdiag + (n - 1) * (w + comm_e + r_star),
     )
     return tdiag, tfull
 
@@ -313,10 +325,11 @@ def _startp_walk(xp, n, m, w, wpre, table, cells):
     return found
 
 
-def _count_residue(lo: int, hi: int, period: int, residue: int) -> int:
-    """Number of integers in ``[lo, hi]`` congruent to ``residue`` mod ``period``."""
-    if hi < lo:
-        return 0
+def _count_residue(lo, hi, period: int, residue: int):
+    """Number of integers in ``[lo, hi]`` congruent to ``residue`` mod ``period``.
+
+    Needs ``hi >= lo - 1`` (an empty range gives 0); ``hi`` may be a column.
+    """
     return (hi - residue) // period - (lo - 1 - residue) // period
 
 
@@ -531,10 +544,12 @@ def fill_times(
     Table 6 on-chip/off-node classification.
 
     ``method`` selects the evaluator: ``"auto"``/``"fast"`` use the
-    closed-form (single-core) or period-folded (multi-core) fast path with
-    an automatic fallback to the exact walk, ``"exact"`` always walks the
-    full grid.  The fast path is numerically equivalent to the exact
-    recurrence (within ~1e-12 relative floating-point reassociation noise).
+    closed form on mappings one core wide (``Cx = 1``: single-core nodes,
+    1xCy nodes such as the dual-core XT4's) and the period fold, with an
+    automatic fallback to the exact walk, on wider ones; ``"exact"`` always
+    walks the full grid.  The fast path is numerically equivalent to the
+    exact recurrence (within ~1e-12 relative floating-point reassociation
+    noise).
     """
     if method not in FILL_METHODS:
         raise ValueError(f"method must be one of {FILL_METHODS}, got {method!r}")
@@ -547,8 +562,8 @@ def fill_times(
         SCALAR, platform, mapping, spec.message_size_ew(grid), spec.message_size_ns(grid)
     )
     exact = ((n, m, False, False), 0, 0, ())
-    if method != "exact" and mapping.cores_per_node == 1:
-        tdiag, tfull = _startp_closed(SCALAR, n, m, w, wpre, table[0][0])
+    if method != "exact" and mapping.cx == 1:
+        tdiag, tfull = _startp_closed(SCALAR, n, m, w, wpre, table[0])
     else:
         plan = exact if method == "exact" else _fill_plan(n, m, mapping.cx, mapping.cy)
         tdiag, tfull, bad = _startp_corners(SCALAR, *plan, w, wpre, table)

@@ -18,17 +18,21 @@ The model's equations are written once, over an array namespace (see
 them on Python floats and this module runs the same functions on numpy
 columns, so both paths perform the same IEEE-754 operations in the same
 order.  This module only groups points and gathers their columns.  It is
-how the ``analytic-fast`` backend prices every batch.  numpy is optional:
-without it every point is priced through the scalar model (identical
-numbers, no batching speedup; see the optional-numpy policy in the README).
+how the ``analytic-fast`` backend prices every batch.  numpy is optional,
+and imported by the first batch of at least ``_COLUMN_CROSSOVER`` points:
+single predictions never load it.  Without it every point is priced
+through the scalar model (identical numbers, no batching speedup; see the
+optional-numpy policy in the README).
 
 What vectorizes, what falls back
 --------------------------------
 
 On columns:
 
-* the closed-form ``StartP`` path for position-independent costs;
-* the period-folded ``StartP`` path for multi-core periodic costs,
+* the closed-form ``StartP`` path for mappings one core wide (``Cx = 1``:
+  single-core nodes, 1xCy nodes such as the dual-core XT4's, column-wise
+  placements), a whole group at once;
+* the period-folded ``StartP`` path for wider mappings (``Cx > 1``),
   including the per-point linearity verification.  Points are grouped by
   fold geometry - the folded grid and which axes fold - so every grid
   shape that folds onto the same small grid shares one walk; each point
@@ -47,8 +51,8 @@ Per point, through the scalar model's own functions:
 
 * ``(platform, mapping)`` groups, and fold walks, of fewer than
   ``_COLUMN_CROSSOVER`` points: numpy's per-call overhead would outweigh
-  the batching (matrices of many distinct small grids, most of which the
-  fold refuses, are made of such walks);
+  the batching (on wider mappings, matrices of many distinct small grids,
+  most of which the fold refuses, are made of such walks);
 * grid points whose fold linearity check fails (rare; the exact walk);
 * the expected-rework correction of fault-model platforms (its guard
   raises per point);
@@ -96,11 +100,6 @@ from repro.core.model import (
 from repro.core.multicore import _fill_step_table, _stack_comm_costs
 from repro.core.xp import SCALAR
 
-try:
-    import numpy as _np
-except ImportError:
-    _np = None
-
 __all__ = [
     "PointValues",
     "batch_point_values",
@@ -112,18 +111,38 @@ __all__ = [
 _Config = Tuple[WavefrontSpec, Platform, ProcessorGrid, CoreMapping]
 
 #: Groups and fold walks with fewer points than this are priced on floats.
-#: Basis: LU class A on cray-xt4 over 1-256 of the even core counts 16-526
-#: (173 of the 256 grids refuse the fold, so most walks hold one point),
-#: best of 11 cold runs on a 2-vCPU VM with numpy 2.4.  With no crossover
-#: batches took 2.3-8.3x the time of per-point scalar pricing; every
-#: crossover from 4 to 32 gave at most 1.16x at 1-16 points and 0.58-0.72x
-#: at 64-256.
+#: Basis: LU class A on cray-xt4 over 1-256 of the even core counts 16-526,
+#: measured while cray-xt4 still took the fold (173 of the 256 grids
+#: refused it, so most walks held one point), best of 11 cold runs on a
+#: 2-vCPU VM with numpy 2.4.  With no crossover batches took 2.3-8.3x the
+#: time of per-point scalar pricing; every crossover from 4 to 32 gave at
+#: most 1.16x at 1-16 points and 0.58-0.72x at 64-256.
 _COLUMN_CROSSOVER = 16
+
+#: numpy once a batch has asked for it (None where it cannot be imported);
+#: ``_UNLOADED`` until then.
+_UNLOADED = object()
+_np = _UNLOADED
+
+
+def _numpy():
+    """numpy, imported by the first call; None where it cannot be imported."""
+    global _np
+    if _np is _UNLOADED:
+        try:
+            import numpy
+        except ImportError:
+            numpy = None
+        _np = numpy
+    return _np
 
 
 def have_numpy() -> bool:
-    """True when batches run on numpy columns (vs the per-point fallback)."""
-    return _np is not None
+    """True when batches run on numpy columns (vs the per-point fallback).
+
+    Imports numpy if no batch has yet.
+    """
+    return _numpy() is not None
 
 
 class PointValues(NamedTuple):
@@ -172,7 +191,7 @@ def batch_point_values(configs: Sequence[_Config]) -> List[PointValues]:
     evaluation.
     """
     configs = list(configs)
-    if _np is None or len(configs) < _COLUMN_CROSSOVER:
+    if len(configs) < _COLUMN_CROSSOVER or _numpy() is None:
         # No group of so small a batch reaches the crossover.
         return [_scalar_point(config) for config in configs]
     results: List[PointValues] = [None] * len(configs)  # type: ignore[list-item]
@@ -283,16 +302,17 @@ def _evaluate_group(
 def _fill_corners(platform, mapping, n, m, w, wpre, ew, ns):
     """``(StartP(1, m), StartP(n, m))`` columns for one group (fast method).
 
-    Multi-core points are grouped by the walk :func:`repro.core.model
+    A mapping one core wide (``Cx = 1``) is priced whole, in closed form.
+    On a wider one points are grouped by the walk :func:`repro.core.model
     ._fill_plan` gives them: grids that fold onto the same small grid share
     one walk, grids the fold refuses keep one exact walk per shape.  Each
     distinct shape is planned once, and a walk shared by fewer than
     ``_COLUMN_CROSSOVER`` points is run on floats, point by point.
     """
     np = _np
-    if mapping.cores_per_node == 1:
+    if mapping.cx == 1:
         table = _fill_step_table(np, platform, mapping, ew, ns)
-        return _startp_closed(np, n, m, w, wpre, table[0][0])
+        return _startp_closed(np, n, m, w, wpre, table[0])
     n_list, m_list = n.tolist(), m.tolist()
     shapes: Dict[Tuple[int, int], List[int]] = {}
     for index, shape in enumerate(zip(n_list, m_list)):

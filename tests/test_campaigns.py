@@ -730,16 +730,22 @@ class TestOneKeyPerPoint:
         assert key_calls == []
         assert sorted(ResultStore(scratch).keys()) == [key for key, _ in keyed]
 
-    def test_incomplete_report_hashes_each_point_once(
+    def test_incomplete_report_hashes_no_point(
         self, tmp_path, counting_backend, small_spec, key_calls
     ):
+        """The Incomplete count matches spec points against the stored
+        records' points by value; the runner already hashed them."""
+        full = ResultStore(tmp_path / "full.store")
+        run_campaign(small_spec, store=full)
+        keys = [point.key() for point in small_spec.points()]
         store_path = tmp_path / "cut.store"
         store = ResultStore(store_path)
         store.set_spec(small_spec.to_dict())
+        store.put_many((key, full.get(key)) for key in keys[:2])
         store.close()
         key_calls.clear()
-        assert "**Incomplete:** 6 of 6" in campaign_report(store_path)
-        assert len(key_calls) == 6
+        assert "**Incomplete:** 4 of 6" in campaign_report(store_path)
+        assert key_calls == []
 
 
 @pytest.fixture
@@ -1029,7 +1035,9 @@ class TestReport:
             for cores in _TWO_FAULT_MODELS.total_cores
             for fault in ("", _TWO_FAULT_MODELS.fault_models[1])
         )
-        assert all(float(row["relative_error"]) == 0.0 for row in rows)
+        # The fast-vs-exact contract: paired with the other fault model's
+        # baseline, these rows read about 1.6e-2.
+        assert all(abs(float(row["relative_error"])) <= 1e-9 for row in rows)
         assert "Across 4 configuration(s)" in campaign_report(store_path)
 
     def test_fault_seed_replicas_are_told_apart(self, tmp_path):

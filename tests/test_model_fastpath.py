@@ -1,13 +1,14 @@
 """Fast-path vs exact equivalence tests for the StartP prediction engine.
 
-The fast prediction engine (closed-form evaluation for homogeneous costs,
-period-folded evaluation for multi-core periodic costs) must reproduce the
-exact ``StartP`` grid walk to within floating-point reassociation noise.
+The fast prediction engine (closed-form evaluation for mappings one core
+wide, period-folded evaluation for wider multi-core mappings) must reproduce
+the exact ``StartP`` grid walk to within floating-point reassociation noise.
 These tests cross-check the two evaluators across a randomised matrix of
 applications (Sweep3D / LU / Chimaera), platforms (single-core, dual-core,
 quad-core, 8-core, 16-core/4-bus XT4; IBM SP/2), processor grids and core
 mappings, plus targeted edge cases (single rows/columns, grids off the
-period, custom mappings).
+period, custom mappings), and check the closed form on its own against the
+walk over random cost tables and every registered platform.
 """
 
 from __future__ import annotations
@@ -18,9 +19,14 @@ from repro.apps.chimaera import chimaera
 from repro.apps.lu import lu
 from repro.apps.sweep3d import Sweep3DConfig, sweep3d
 from repro.core.decomposition import CoreMapping, ProblemSize, ProcessorGrid, decompose
-from repro.core.model import fill_times, iteration_prediction
+from repro.core.faults import FaultModel
+from repro.core.hetero import SampledNoise, SpeedProfile
+from repro.core.model import _startp_closed, _startp_walk, fill_times, iteration_prediction
+from repro.core.multicore import resolve_core_mapping
 from repro.core.predictor import clear_prediction_cache, predict
-from repro.platforms import cray_xt4, cray_xt4_single_core, ibm_sp2
+from repro.core.xp import SCALAR
+from repro.platforms import cray_xt4, cray_xt4_single_core, ibm_sp2, platform_registry
+from repro.platforms.spec import parse_placement
 
 #: Maximum relative error allowed between the fast and exact evaluators.
 REL_TOL = 1e-9
@@ -143,3 +149,89 @@ class TestFastPathThroughPredictionStack:
         spec = chimaera(ProblemSize(240, 240, 240), iterations=1)
         grid = decompose(131072)
         _assert_equivalent(spec, xt4, grid, None)
+
+
+def _random_column(rng, cy: int) -> list:
+    """Random non-negative cost entries of the ``Cy`` row residues of a
+    mapping one core wide: TotalCommE and SendE shared by every residue,
+    ReceiveN (zero about half the time) and TotalCommS per residue."""
+    comm_e, send_e = rng.uniform(0.0, 50.0), rng.uniform(0.0, 50.0)
+    return [
+        (comm_e, rng.choice((0.0, rng.uniform(0.0, 50.0))), send_e, rng.uniform(0.0, 50.0))
+        for _ in range(cy)
+    ]
+
+
+def _assert_closed_matches_walk(n, m, w, wpre, column):
+    tdiag, tfull = _startp_closed(SCALAR, n, m, w, wpre, column)
+    walked = _startp_walk(SCALAR, n, m, w, wpre, [column], ((1, m), (n, m)))
+    for name, got, want in (("tdiag", tdiag, walked[1, m]), ("tfull", tfull, walked[n, m])):
+        assert abs(got - want) <= REL_TOL * max(1.0, abs(want)), (
+            f"{name} mismatch on a {n}x{m} grid, column {column}: "
+            f"closed={got!r} walk={want!r}"
+        )
+
+
+#: The scenario platforms the closed form also prices: noise stretches the
+#: work, stragglers add the heterogeneity correction, a checkpointing fault
+#: model stretches the work by its dump duty cycle.
+SCENARIO_PLATFORMS = {
+    "sampled-noise": lambda: cray_xt4().with_noise(SampledNoise(0.1)),
+    "stragglers": lambda: cray_xt4().with_speed_profile(SpeedProfile.stragglers(1, 3.0)),
+    "faulty": lambda: cray_xt4().with_faults(
+        FaultModel(
+            mtbf_us=1e8,
+            repair_us=1e6,
+            restart_us=1e5,
+            checkpoint_interval_us=1e6,
+            checkpoint_cost_us=5e3,
+        )
+    ),
+}
+
+
+class TestClosedFormOneCoreWide:
+    """The closed form of mappings one core wide (``Cx = 1``) against the
+    exact walk: the best path descends column 1 to the row residue with the
+    largest ReceiveN among rows ``2..m``, then runs east."""
+
+    @pytest.mark.parametrize("cy", [1, 2, 3, 4])
+    def test_edge_grids(self, seeded_rng, cy):
+        column = _random_column(seeded_rng, cy)
+        for n in (1, 2, 3, 64):
+            for m in (1, 2, 3, 4, 5, 64):
+                _assert_closed_matches_walk(n, m, 7.5, 3.25, column)
+
+    def test_random_residue_tables(self, seeded_rng):
+        rng = seeded_rng
+        for trial in range(400):
+            # m = 2 leaves one residue present in rows 2..m.
+            m = 2 if trial % 4 == 0 else rng.randint(1, 80)
+            _assert_closed_matches_walk(
+                rng.randint(1, 80),
+                m,
+                rng.uniform(0.0, 100.0),
+                rng.uniform(0.0, 100.0),
+                _random_column(rng, rng.randint(1, 4)),
+            )
+
+    @pytest.mark.parametrize("name", sorted(platform_registry) + sorted(SCENARIO_PLATFORMS))
+    def test_platform_mappings(self, seeded_rng, name):
+        """Every registered platform and scenario platform, with its default
+        and its column-wise placement wherever that mapping is one core wide
+        (all but quad-chip's default 2x2 node)."""
+        rng = seeded_rng
+        builder = platform_registry.get(name) or SCENARIO_PLATFORMS[name]
+        platform = builder()
+        specs = _specs()
+        mappings = list(dict.fromkeys(
+            resolve_core_mapping(platform, parse_placement(placement, platform))
+            for placement in ("default", "colwise")
+        ))
+        one_wide = [mapping for mapping in mappings if mapping.cx == 1]
+        assert len(one_wide) == len(mappings) - (name == "cray-xt4-quad-chip")
+        for mapping in one_wide:
+            for trial in range(30):
+                m = 2 if trial % 5 == 0 else rng.randint(1, 64)
+                grid = ProcessorGrid(rng.randint(1, 64), m)
+                _assert_equivalent(rng.choice(specs), platform, grid, mapping)
