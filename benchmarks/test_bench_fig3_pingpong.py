@@ -20,7 +20,9 @@ def _figure3(platform, on_chip: bool):
     )
     rows = []
     for sample in samples:
-        model = total_comm(platform, sample.message_bytes, on_chip=on_chip)
+        model = total_comm(
+            platform, sample.message_bytes, level="chip" if on_chip else "machine"
+        )
         error = (model - sample.one_way_time_us) / sample.one_way_time_us
         rows.append((sample.message_bytes, sample.one_way_time_us, model, error))
     return rows

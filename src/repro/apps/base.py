@@ -249,7 +249,7 @@ class StencilNonWavefront:
         face_bytes = max(
             spec.message_size_ew(grid), spec.message_size_ns(grid)
         )
-        comm = self.exchanges * total_comm(platform, face_bytes, on_chip=False)
+        comm = self.exchanges * total_comm(platform, face_bytes)
         reduce_cost = (
             allreduce_time(platform, grid.total_processors)
             if self.include_allreduce

@@ -35,7 +35,7 @@ that comparison (and any future engine) interchangeable:
 
     Any object implementing the protocol may also be passed directly as a
     ``backend=`` argument (e.g. a configured ``SimulatorBackend(iterations=3,
-    compute_noise=0.05)``).
+    noise_seed=7)``).
 
 **Batch service** (:mod:`repro.backends.service`)
     :func:`predict_many` evaluates a list of

@@ -60,11 +60,11 @@ def register_backend(
     a name raises unless ``replace=True``.
 
     >>> from repro.backends.simulator import SimulatorBackend
-    >>> register_backend("noisy-sim",
-    ...                  lambda: SimulatorBackend(compute_noise=0.05),
+    >>> register_backend("sim-3-iterations",
+    ...                  lambda: SimulatorBackend(iterations=3),
     ...                  replace=True)
-    >>> get_backend("noisy-sim").compute_noise
-    0.05
+    >>> get_backend("sim-3-iterations").iterations
+    3
     """
     _ensure_builtins()
     if not name:

@@ -26,7 +26,6 @@ from typing import Optional
 from repro.apps.base import WavefrontSpec
 from repro.backends.base import BackendResult
 from repro.core.decomposition import CoreMapping, ProcessorGrid
-from repro.core.hetero import NoiseModel
 from repro.core.loggp import Platform
 from repro.simulator.wavefront import (
     SIMULATOR_ENGINES,
@@ -48,12 +47,12 @@ class SimulatorBackend:
 
     Parameters mirror :func:`repro.simulator.wavefront.simulate_wavefront`;
     the defaults (one iteration, non-wavefront phase included, contention
-    on, no noise, automatic engine choice) reproduce the validation
-    harness's measurement configuration.  Heterogeneous platform features -
-    per-node speed profiles, hierarchical interconnects and platform-level
-    noise models, and fault/checkpoint models - are honoured automatically
-    from the platform description; ``noise_model`` overrides the platform's
-    own noise field for ablations, ``fault_seed`` selects the per-rank
+    on, automatic engine choice) reproduce the validation harness's
+    measurement configuration.  Heterogeneous platform features -
+    per-node speed profiles, hierarchical interconnects, background noise
+    and fault/checkpoint models - come from the platform description alone
+    (``platform.with_noise(SampledNoise(0.05))`` makes a noisy machine);
+    ``noise_seed`` and ``fault_seed`` select the per-rank jitter and
     failure streams, and ``link_contention`` serialises overlapping
     off-node payloads on per-link FIFO queues.
 
@@ -71,8 +70,6 @@ class SimulatorBackend:
     iterations: int = 1
     simulate_nonwavefront: bool = True
     enable_contention: bool = True
-    compute_noise: float = 0.0
-    noise_model: Optional[NoiseModel] = None
     noise_seed: int = 0
     fault_seed: int = 0
     link_contention: bool = False
@@ -154,8 +151,6 @@ def _simulate(
         iterations=backend.iterations,
         simulate_nonwavefront=backend.simulate_nonwavefront,
         enable_contention=backend.enable_contention,
-        compute_noise=backend.compute_noise,
-        noise_model=backend.noise_model,
         noise_seed=backend.noise_seed,
         fault_seed=backend.fault_seed,
         link_contention=backend.link_contention,

@@ -35,8 +35,8 @@ def hoisie_stage_time(
 ) -> float:
     """Time of one pipeline stage: compute a tile and exchange its boundaries."""
     w = spec.work_per_tile(grid, platform) + spec.pre_work_per_tile(grid, platform)
-    ew = CommunicationCosts.for_message(platform, spec.message_size_ew(grid), on_chip=False)
-    ns = CommunicationCosts.for_message(platform, spec.message_size_ns(grid), on_chip=False)
+    ew = CommunicationCosts.for_message(platform, spec.message_size_ew(grid))
+    ns = CommunicationCosts.for_message(platform, spec.message_size_ns(grid))
     comm = ew.send + ew.receive + ns.send + ns.receive
     return w + comm
 

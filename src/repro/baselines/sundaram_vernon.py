@@ -82,8 +82,8 @@ def sundaram_vernon_iteration_time(
     tiles = spec.tiles_per_stack()
     latency = platform.off_node.latency
 
-    ew = CommunicationCosts.for_message(platform, spec.message_size_ew(grid), on_chip=False)
-    ns = CommunicationCosts.for_message(platform, spec.message_size_ns(grid), on_chip=False)
+    ew = CommunicationCosts.for_message(platform, spec.message_size_ew(grid))
+    ns = CommunicationCosts.for_message(platform, spec.message_size_ns(grid))
 
     fills = fill_times(spec, platform, grid)
     start_p_diag = fills.tdiagfill  # StartP(1, m)

@@ -35,6 +35,7 @@ same analysis, writing each file as soon as it is rendered.
 from __future__ import annotations
 
 import csv
+import logging
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Optional, Union
@@ -45,6 +46,8 @@ from repro.util.tables import format_markdown
 from repro.validation.compare import ValidationResult, ValidationSummary
 
 __all__ = ["campaign_report", "write_report"]
+
+logger = logging.getLogger("repro.campaigns.report")
 
 
 #: The scenario fields a point may carry (heterogeneity and fault campaigns).
@@ -265,8 +268,21 @@ class _Analysis:
     optima: list[tuple[tuple, Record, int]]
 
 
+def _stored_spec(store: ResultStore) -> Optional[CampaignSpec]:
+    """The campaign in the store header; None without one, or when it no
+    longer parses (the records are still readable, so the report renders
+    as if the store had no header)."""
+    if store.spec_dict is None:
+        return None
+    try:
+        return CampaignSpec.from_dict(store.spec_dict)
+    except (TypeError, ValueError) as exc:
+        logger.warning("store %s: ignoring unparseable campaign header: %s", store.path, exc)
+        return None
+
+
 def _analyse(store: ResultStore) -> _Analysis:
-    spec = None if store.spec_dict is None else CampaignSpec.from_dict(store.spec_dict)
+    spec = _stored_spec(store)
     records = list(store.records())
     missing = points = 0
     if spec is not None:

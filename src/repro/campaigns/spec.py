@@ -189,7 +189,6 @@ class CampaignPoint:
     htile: Optional[float]
     backend: str
     noise_seed: Optional[int] = None
-    compute_noise: float = 0.0
     placement: Optional[str] = None
     speed_profile: Optional[str] = None
     noise_model: Optional[str] = None
@@ -215,7 +214,10 @@ class CampaignPoint:
             "htile": self.htile,
             "backend": self.backend,
             "noise_seed": self.noise_seed,
-            "compute_noise": self.compute_noise,
+            # A constant of the v2 key format: the retired noise amplitude
+            # (noise_model carries all noise now), hashed into every stored
+            # key, so dropping it re-keys every store.
+            "compute_noise": 0.0,
         }
         if self.placement is not None:
             record["placement"] = self.placement
@@ -231,6 +233,16 @@ class CampaignPoint:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CampaignPoint":
+        """Rebuild a point from :meth:`to_dict` output.
+
+        A stored v2 point whose retired ``compute_noise`` amplitude ``a`` is
+        positive (only simulator points had one) reads as the noise model
+        ``sampled:<a>``: the same per-tile draws at the same seed.
+        """
+        noise_model = data.get("noise_model")
+        amplitude = float(data.get("compute_noise", 0.0))
+        if amplitude > 0.0:
+            noise_model = f"sampled:{amplitude}"
         return cls(
             app=str(data["app"]),
             platform=str(data["platform"]),
@@ -238,14 +250,11 @@ class CampaignPoint:
             htile=None if data.get("htile") is None else float(data["htile"]),
             backend=str(data["backend"]),
             noise_seed=None if data.get("noise_seed") is None else int(data["noise_seed"]),
-            compute_noise=float(data.get("compute_noise", 0.0)),
             placement=None if data.get("placement") is None else str(data["placement"]),
             speed_profile=(
                 None if data.get("speed_profile") is None else str(data["speed_profile"])
             ),
-            noise_model=(
-                None if data.get("noise_model") is None else str(data["noise_model"])
-            ),
+            noise_model=None if noise_model is None else str(noise_model),
             fault_model=(
                 None if data.get("fault_model") is None else str(data["fault_model"])
             ),
@@ -301,7 +310,6 @@ class CampaignPoint:
             self.noise_seed is not None or self.fault_seed is not None
         ):
             return SimulatorBackend(
-                compute_noise=self.compute_noise,
                 noise_seed=self.noise_seed or 0,
                 fault_seed=self.fault_seed or 0,
             )
@@ -334,8 +342,8 @@ class CampaignSpec:
     product in deterministic order (apps, then platforms, core counts, tile
     heights, backends, seeds).  ``htiles`` entries of ``None`` mean "the
     workload's default tile height"; ``noise_seeds`` only differentiate
-    simulator points when ``compute_noise`` is non-zero (the analytic model
-    is deterministic, so seeds would only duplicate work - they are
+    simulator points of a stochastic ``noise_models`` entry (the analytic
+    model is deterministic, so seeds would only duplicate work - they are
     normalised away).  ``baseline`` optionally names the backend that plays
     the paper's "measurement" role in reports, enabling the
     model-vs-measurement error columns of Tables 4-7.
@@ -361,7 +369,6 @@ class CampaignSpec:
     htiles: Tuple[Optional[float], ...] = (None,)
     backends: Tuple[str, ...] = ("analytic-fast",)
     noise_seeds: Tuple[Optional[int], ...] = (None,)
-    compute_noise: float = 0.0
     baseline: Optional[str] = None
     placements: Tuple[Optional[str], ...] = (None,)
     speed_profiles: Tuple[Optional[str], ...] = (None,)
@@ -416,17 +423,6 @@ class CampaignSpec:
                 raise ValueError(f"campaign axis {axis!r} has no values")
         if any(count < 1 for count in self.total_cores):
             raise ValueError("total_cores values must be positive")
-        if self.compute_noise < 0:
-            raise ValueError("compute_noise must be non-negative")
-        if self.compute_noise > 0 and self.noise_models != (None,):
-            # The legacy amplitude would shadow every noise_models value on
-            # simulator points (WavefrontSimulator's precedence), producing
-            # distinctly-labelled but numerically identical rows.
-            raise ValueError(
-                "compute_noise > 0 cannot be combined with a noise_models "
-                "axis; express the legacy amplitude as "
-                "noise_models=[\"sampled:<amplitude>\"] instead"
-            )
         if self.baseline is not None and self.baseline not in self.backends:
             raise ValueError(
                 f"baseline {self.baseline!r} is not one of the campaign's "
@@ -438,10 +434,10 @@ class CampaignSpec:
     def points(self) -> list[CampaignPoint]:
         """Expand the axes into the ordered, de-duplicated request list.
 
-        Noise seeds differentiate only *stochastic* simulator points - the
-        legacy ``compute_noise`` amplitude or a stochastic ``noise_models``
-        entry (``sampled:...``); fault seeds likewise differentiate only
-        simulator points whose fault model actually fails (finite MTBF).
+        Noise seeds differentiate only *stochastic* simulator points, those
+        of a stochastic ``noise_models`` entry (``sampled:...``); fault
+        seeds likewise differentiate only simulator points whose fault
+        model actually fails (finite MTBF).
         The analytic model and deterministic scenarios are seed-independent,
         so their seeds are normalised away rather than duplicating work.
         Deduplication compares the points themselves: equal points have
@@ -475,9 +471,7 @@ class CampaignSpec:
             self.fault_models,
             self.fault_seeds,
         ):
-            stochastic = backend == "simulator" and (
-                self.compute_noise > 0.0 or stochastic_noise[noise]
-            )
+            stochastic = backend == "simulator" and stochastic_noise[noise]
             faulting = backend == "simulator" and failing_faults[fault]
             point = CampaignPoint(
                 app=app,
@@ -486,7 +480,6 @@ class CampaignSpec:
                 htile=htile,
                 backend=backend,
                 noise_seed=seed if stochastic else None,
-                compute_noise=self.compute_noise if stochastic else 0.0,
                 placement=placement,
                 speed_profile=profile,
                 noise_model=noise,
@@ -518,7 +511,6 @@ class CampaignSpec:
             "htiles": list(self.htiles),
             "backends": list(self.backends),
             "noise_seeds": list(self.noise_seeds),
-            "compute_noise": self.compute_noise,
             "baseline": self.baseline,
         }
         if self.placements != (None,):
@@ -539,8 +531,19 @@ class CampaignSpec:
 
         Only ``name``, ``apps`` and ``total_cores`` are required; every other
         field falls back to the dataclass default.  Unknown keys raise, so
-        typos in campaign files fail loudly.
+        typos in campaign files fail loudly.  The retired ``compute_noise``
+        field of older files and store headers is accepted as ``0.0``; a
+        positive amplitude raises, naming the ``noise_models`` entry that
+        replaces it.
         """
+        data = dict(data)
+        amplitude = float(data.pop("compute_noise", 0.0))
+        if amplitude:
+            raise ValueError(
+                f'compute_noise is retired; write noise_models: ["sampled:{amplitude}"] '
+                f"instead (analytic points then price the mean inflation "
+                f"1 + {amplitude}/2, which compute_noise left out)"
+            )
         known = {
             "name",
             "description",
@@ -550,7 +553,6 @@ class CampaignSpec:
             "htiles",
             "backends",
             "noise_seeds",
-            "compute_noise",
             "baseline",
             "placements",
             "speed_profiles",

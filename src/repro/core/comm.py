@@ -176,15 +176,6 @@ def _on_chip_params(platform: Platform) -> OnChipParams:
     return platform.on_chip
 
 
-def _resolve_level(on_chip: bool, level: str | None) -> str:
-    """Normalise the legacy ``on_chip`` flag and the ``level`` name."""
-    if level is None:
-        return "chip" if on_chip else "machine"
-    if level not in HOP_LEVELS:
-        raise ValueError(f"level must be one of {HOP_LEVELS}, got {level!r}")
-    return level
-
-
 #: Table 1(a) and 1(b) kernels of each cost kind.
 _KERNELS = {
     "total": (_total_off, _total_chip),
@@ -210,50 +201,25 @@ def _message_cost(xp, platform: Platform, level: str, size, kind: str):
     return chip_kernel(xp, _on_chip_params(platform), size)
 
 
-def total_comm(
-    platform: Platform,
-    message_bytes: float,
-    *,
-    on_chip: bool = False,
-    level: str | None = None,
-) -> float:
-    """End-to-end message time, dispatching on the hop level.
-
-    ``level`` (``"chip"``/``"node"``/``"machine"``) generalises the legacy
-    ``on_chip`` flag; when both are given ``level`` wins.
-    """
-    return _message_cost(
-        SCALAR, platform, _resolve_level(on_chip, level),
-        _require_positive_size(message_bytes), "total",
-    )
+def _level_cost(platform: Platform, message_bytes: float, level: str, kind: str) -> float:
+    if level not in HOP_LEVELS:
+        raise ValueError(f"level must be one of {HOP_LEVELS}, got {level!r}")
+    return _message_cost(SCALAR, platform, level, _require_positive_size(message_bytes), kind)
 
 
-def send_cost(
-    platform: Platform,
-    message_bytes: float,
-    *,
-    on_chip: bool = False,
-    level: str | None = None,
-) -> float:
-    """``MPI_Send`` cost, dispatching on the hop level."""
-    return _message_cost(
-        SCALAR, platform, _resolve_level(on_chip, level),
-        _require_positive_size(message_bytes), "send",
-    )
+def total_comm(platform: Platform, message_bytes: float, *, level: str = "machine") -> float:
+    """End-to-end message time of a hop at ``level`` (one of :data:`HOP_LEVELS`)."""
+    return _level_cost(platform, message_bytes, level, "total")
 
 
-def receive_cost(
-    platform: Platform,
-    message_bytes: float,
-    *,
-    on_chip: bool = False,
-    level: str | None = None,
-) -> float:
-    """``MPI_Recv`` cost, dispatching on the hop level."""
-    return _message_cost(
-        SCALAR, platform, _resolve_level(on_chip, level),
-        _require_positive_size(message_bytes), "receive",
-    )
+def send_cost(platform: Platform, message_bytes: float, *, level: str = "machine") -> float:
+    """``MPI_Send`` cost of a hop at ``level``."""
+    return _level_cost(platform, message_bytes, level, "send")
+
+
+def receive_cost(platform: Platform, message_bytes: float, *, level: str = "machine") -> float:
+    """``MPI_Recv`` cost of a hop at ``level``."""
+    return _level_cost(platform, message_bytes, level, "receive")
 
 
 @dataclass(frozen=True)
@@ -268,46 +234,18 @@ class CommunicationCosts:
     send: float
     receive: float
     total: float
-    on_chip: bool = False
 
     @classmethod
     def for_message(
-        cls,
-        platform: Platform,
-        message_bytes: float,
-        *,
-        on_chip: bool = False,
-        level: str | None = None,
+        cls, platform: Platform, message_bytes: float, *, level: str = "machine"
     ) -> "CommunicationCosts":
-        """Costs for one message.
-
-        ``level`` names the hop level (``"chip"``/``"node"``/``"machine"``)
-        on hierarchical platforms; the legacy ``on_chip`` flag maps to
-        ``"chip"``/``"machine"``.
-        """
-        level = _resolve_level(bool(on_chip), level)
+        """Costs for one message over a hop at ``level`` (one of :data:`HOP_LEVELS`)."""
         size = float(message_bytes)
         return cls(
             message_bytes=size,
             send=send_cost(platform, size, level=level),
             receive=receive_cost(platform, size, level=level),
             total=total_comm(platform, size, level=level),
-            on_chip=level == "chip",
-        )
-
-    def with_added(self, send_extra: float = 0.0, receive_extra: float = 0.0) -> "CommunicationCosts":
-        """Return a copy with contention penalties added to send/receive.
-
-        Used by the Table 6 multi-core contention extension, which adds a
-        bus-interference term ``I`` to specific send and receive operations.
-        The end-to-end ``total`` grows by the same amounts.
-        """
-        return CommunicationCosts(
-            message_bytes=self.message_bytes,
-            send=self.send + send_extra,
-            receive=self.receive + receive_extra,
-            total=self.total + send_extra + receive_extra,
-            on_chip=self.on_chip,
         )
 
 

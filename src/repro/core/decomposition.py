@@ -267,24 +267,6 @@ class CoreMapping:
         """A copy with the given chip sub-rectangle."""
         return CoreMapping(cx=self.cx, cy=self.cy, chip_cx=chip_cx, chip_cy=chip_cy)
 
-    def send_east_on_chip(self, i: int, j: int) -> bool:
-        """Table 6: SendE is on-chip iff ``i mod Cx != 0`` and ``Cx != 1``."""
-        return self.cx != 1 and i % self.cx != 0
-
-    def comm_from_west_on_chip(self, i: int, j: int) -> bool:
-        """Table 6: Total_commE (message arriving from the west) is on-chip
-        iff ``i mod Cx != 1`` and ``Cx != 1``."""
-        return self.cx != 1 and i % self.cx != 1
-
-    def receive_north_on_chip(self, i: int, j: int) -> bool:
-        """Table 6: ReceiveN is on-chip iff ``j mod Cy != 1`` and ``Cy != 1``."""
-        return self.cy != 1 and j % self.cy != 1
-
-    def send_south_on_chip(self, i: int, j: int) -> bool:
-        """Table 6: Total_commS (message sent to the south neighbour) is
-        on-chip iff ``j mod Cy != 0`` and ``Cy != 1``."""
-        return self.cy != 1 and j % self.cy != 0
-
     def node_of(self, i: int, j: int) -> Tuple[int, int]:
         """The (node-column, node-row) containing processor ``(i, j)``."""
         return ((i - 1) // self.cx, (j - 1) // self.cy)
@@ -300,7 +282,7 @@ class CoreMapping:
     # hop is "chip" when it stays inside the chip rectangle, "node" when it
     # stays inside the node rectangle but crosses a chip boundary, and
     # "machine" otherwise.  With no chip subdivision the "node" level is
-    # unreachable and the classification equals the legacy booleans.
+    # unreachable and "chip" is Table 6's on-chip class.
 
     def send_east_level(self, i: int, j: int) -> str:
         ccx = self.effective_chip_cx

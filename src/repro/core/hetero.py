@@ -420,9 +420,9 @@ class SampledNoise(NoiseModel):
     """Multiplicative jitter sampled per tile from a per-rank stream.
 
     Each tile's work is scaled by ``1 + amplitude * U`` with ``U`` uniform
-    on ``[0, 1)`` - exactly the simulator's historical ``compute_noise``
-    semantics, now expressible as a platform property.  The analytic model
-    uses the mean factor ``1 + amplitude/2``.
+    on ``[0, 1)``, drawn from the simulator's per-rank stream of the run's
+    ``noise_seed``.  The analytic model uses the mean factor
+    ``1 + amplitude/2``.
 
     >>> SampledNoise(0.1).is_stochastic
     True

@@ -357,32 +357,30 @@ def _fold_geometry(n: int, m: int, cx: int, cy: int) -> tuple[int, int, int, int
 
 
 def _fill_plan(n: int, m: int, cx: int, cy: int):
-    """``(walk, kx, ky, counts)``: how the fast path prices an ``n x m`` grid.
+    """``(walk, kx, ky)``: how the fast path prices an ``n x m`` grid.
 
     ``walk = (n0, m0, fold_x, fold_y)`` is the grid walked and the axes
-    folded; ``kx``/``ky`` are the periods folded away and ``counts[jm]``
-    the rows ``2..m`` in residue class ``jm`` (for the closed-form
-    ``StartP(1, m)``).  A grid the fold refuses is walked whole:
-    ``(n, m, False, False)``.  Grids sharing a ``walk`` share one walk.
+    folded; ``kx``/``ky`` are the periods folded away.  A grid the fold
+    refuses is walked whole: ``(n, m, False, False)``.  Grids sharing a
+    ``walk`` share one walk.
     """
     fold = _fold_geometry(n, m, cx, cy)
     if fold is None:
-        return (n, m, False, False), 0, 0, ()
+        return (n, m, False, False), 0, 0
     n0, m0, kx, ky = fold
-    counts = tuple(_count_residue(2, m, cy, jm) for jm in range(cy))
-    return (n0, m0, kx > 0, ky > 0), kx, ky, counts
+    return (n0, m0, kx > 0, ky > 0), kx, ky
 
 
-def _startp_corners(xp, walk, kx, ky, counts, w, wpre, table):
+def _startp_corners(xp, walk, kx, ky, w, wpre, table):
     """``(StartP(1, m), StartP(n, m), bad)`` for a grid planned onto ``walk``.
 
     An unfolded walk is the exact recurrence.  A folded one measures the
     per-period growth of ``StartP`` in each folded direction, verifies it
     is linear (vanishing second differences and cross term) and
     extrapolates by ``kx``/``ky`` periods; ``StartP(1, m)``, the single
-    path down column 1, is summed in closed form from ``counts``.  ``bad``
-    flags the points whose linearity check failed: they need the exact
-    walk.
+    path down column 1, is :func:`_startp_closed`'s sum over grid column
+    1.  ``bad`` flags the points whose linearity check failed: they need
+    the exact walk.
     """
     n0, m0, fold_x, fold_y = walk
     cx, cy = len(table), len(table[0])
@@ -415,13 +413,9 @@ def _startp_corners(xp, walk, kx, ky, counts, w, wpre, table):
     if fold_x and fold_y:
         bad = bad | (xp.abs(corner[n0 + cx, m0 + cy] - (f00 + dx + dy)) > tolerance)
 
-    # StartP(1, m): SendE is j-independent and applies only when n > 1 (a
-    # folded axis keeps n0 > 1, so n0 decides for the whole grid).
-    column = table[1 % cx]
-    send_e = column[0][2] if n0 > 1 else 0.0
-    tdiag = wpre
-    for jm in range(cy):
-        tdiag = tdiag + counts[jm] * (w + send_e + column[jm][3])
+    # StartP(1, m): a folded axis keeps n0 > 1, so n0 decides the n > 1
+    # guard on SendE for the whole grid.
+    tdiag, _tfull = _startp_closed(xp, n0, m0 + ky * cy, w, wpre, table[1 % cx])
     return tdiag, f00 + kx * dx + ky * dy, bad
 
 
@@ -561,7 +555,7 @@ def fill_times(
     table = _fill_step_table(
         SCALAR, platform, mapping, spec.message_size_ew(grid), spec.message_size_ns(grid)
     )
-    exact = ((n, m, False, False), 0, 0, ())
+    exact = ((n, m, False, False), 0, 0)
     if method != "exact" and mapping.cx == 1:
         tdiag, tfull = _startp_closed(SCALAR, n, m, w, wpre, table[0])
     else:

@@ -319,42 +319,42 @@ def _fill_corners(platform, mapping, n, m, w, wpre, ew, ns):
         shapes.setdefault(shape, []).append(index)
     walks: Dict[tuple, list] = {}
     for shape, indices in shapes.items():
-        walk, kx, ky, counts = _fill_plan(*shape, mapping.cx, mapping.cy)
-        walks.setdefault(walk, []).append((indices, (kx, ky, *counts)))
+        walk, kx, ky = _fill_plan(*shape, mapping.cx, mapping.cy)
+        walks.setdefault(walk, []).append((indices, (kx, ky)))
 
     tdiag = np.empty(len(n_list))
     tfull = np.empty(len(n_list))
 
-    def on_floats(index, walk, kx, ky, counts):
+    def on_floats(index, walk, kx, ky):
         """One point priced as the scalar fast path prices it: the planned
         walk, then the exact walk if the fold check fails."""
         w_i, wpre_i = float(w[index]), float(wpre[index])
         table = _fill_step_table(SCALAR, platform, mapping, float(ew[index]), float(ns[index]))
-        tdiag_i, tfull_i, bad = _startp_corners(SCALAR, walk, kx, ky, counts, w_i, wpre_i, table)
+        tdiag_i, tfull_i, bad = _startp_corners(SCALAR, walk, kx, ky, w_i, wpre_i, table)
         if bad:
             exact = (n_list[index], m_list[index], False, False)
-            tdiag_i, tfull_i, _bad = _startp_corners(SCALAR, exact, 0, 0, (), w_i, wpre_i, table)
+            tdiag_i, tfull_i, _bad = _startp_corners(SCALAR, exact, 0, 0, w_i, wpre_i, table)
         tdiag[index], tfull[index] = tdiag_i, tfull_i
 
     for walk, members in walks.items():
         rows = [index for indices, _plan in members for index in indices]
         if len(rows) < _COLUMN_CROSSOVER:
-            for indices, (kx, ky, *counts) in members:
+            for indices, (kx, ky) in members:
                 for index in indices:
-                    on_floats(index, walk, kx, ky, counts)
+                    on_floats(index, walk, kx, ky)
             continue
         rows = np.array(rows)
         sizes = [len(indices) for indices, _plan in members]
-        kx, ky, *counts = (
+        kx, ky = (
             np.repeat(values, sizes) for values in zip(*(plan for _indices, plan in members))
         )
         table = _fill_step_table(np, platform, mapping, ew[rows], ns[rows])
         tdiag[rows], tfull[rows], bad = _startp_corners(
-            np, walk, kx, ky, counts, w[rows], wpre[rows], table
+            np, walk, kx, ky, w[rows], wpre[rows], table
         )
         for index in rows[np.flatnonzero(bad)].tolist():
             # Rare: this point's fold linearity check failed.
-            on_floats(index, (n_list[index], m_list[index], False, False), 0, 0, ())
+            on_floats(index, (n_list[index], m_list[index], False, False), 0, 0)
     return tdiag, tfull
 
 

@@ -64,7 +64,7 @@ def aggregation_unsupported_reason(simulator: "WavefrontSimulator") -> Optional[
     per-rank jitter, no per-node speed multipliers, and no shared on-chip
     resources (bus queues) whose state depends on event order.
     """
-    if simulator.noise_model is not None:
+    if simulator.noise is not None:
         return "background noise applies per-tile jitter to compute times"
     profile = simulator.platform.speed_profile
     if profile is not None and profile.has_windows:

@@ -38,7 +38,7 @@ for value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, repeat
 from random import Random
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -51,7 +51,7 @@ from repro.apps.base import (
     WavefrontSpec,
 )
 from repro.core.decomposition import CoreMapping, ProcessorGrid, decompose
-from repro.core.hetero import NoiseModel, SampledNoise, chip_index_of, node_index_of
+from repro.core.hetero import NoiseModel, chip_index_of, node_index_of
 from repro.core.loggp import Platform
 from repro.core.multicore import resolve_core_mapping
 from repro.simulator.collectives import allreduce_ops, allreduce_tag_span
@@ -129,24 +129,14 @@ class WavefrontSimulator:
         Include the all-reduce / stencil phase between iterations.
     enable_contention:
         Toggle the shared-bus queueing (Table 6's effect).
-    compute_noise:
-        Amplitude of multiplicative compute-time jitter: each tile's work is
-        scaled by a factor drawn uniformly from ``[1, 1 + compute_noise]``
-        (per rank, per tile, deterministic given ``noise_seed``).  Models OS
-        noise / work imbalance and lets robustness of the model's predictions
-        be studied; zero (the default) reproduces the paper's noise-free
-        setting.  Equivalent to (and taking precedence over)
-        ``noise_model=SampledNoise(compute_noise)``.
-    noise_model:
-        A :class:`~repro.core.hetero.NoiseModel` stretching each tile's
-        compute time; overrides the platform's ``noise`` field.  The
-        effective model resolves as ``compute_noise`` (legacy) >
-        ``noise_model`` > ``platform.noise`` > quiet.
     noise_seed:
-        Seed for the jitter stream.  All noise is drawn from per-rank
-        :class:`random.Random` instances derived from this seed (see
-        :meth:`rank_jitter_stream`); no module-level random state is
-        consulted, so two runs with the same seed are bit-identical.
+        Seed for the jitter stream of a stochastic ``platform.noise`` model
+        (``platform.with_noise(SampledNoise(0.05))`` scales each tile's work
+        by a factor drawn uniformly from ``[1, 1.05]``).  All noise is
+        drawn from per-rank :class:`random.Random` instances derived from
+        this seed (see :meth:`rank_jitter_stream`); no module-level random
+        state is consulted, so two runs with the same seed are
+        bit-identical.
     fault_seed:
         Seed for the per-rank failure streams consumed when the platform
         carries a non-null :class:`~repro.core.faults.FaultModel`.
@@ -175,8 +165,6 @@ class WavefrontSimulator:
         iterations: int = 1,
         simulate_nonwavefront: bool = True,
         enable_contention: bool = True,
-        compute_noise: float = 0.0,
-        noise_model: Optional[NoiseModel] = None,
         noise_seed: int = 0,
         fault_seed: int = 0,
         link_contention: bool = False,
@@ -189,8 +177,6 @@ class WavefrontSimulator:
             grid = decompose(total_cores)
         if iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if compute_noise < 0:
-            raise ValueError("compute_noise must be non-negative")
         if engine not in SIMULATOR_ENGINES:
             raise ValueError(f"engine must be one of {SIMULATOR_ENGINES}, got {engine!r}")
         self.engine = engine
@@ -201,23 +187,13 @@ class WavefrontSimulator:
         self.iterations = iterations
         self.simulate_nonwavefront = simulate_nonwavefront
         self.enable_contention = enable_contention
-        self.compute_noise = compute_noise
         self.noise_seed = noise_seed
         self.fault_seed = fault_seed
         self.link_contention = link_contention
-        # Effective background-noise model: legacy compute_noise > explicit
-        # noise_model > the platform's own noise field > quiet.  A null
-        # model is normalised to None so the engine choice and the jitter
-        # streams see "no noise" exactly as before.
-        if compute_noise > 0.0:
-            effective: Optional[NoiseModel] = SampledNoise(compute_noise)
-        elif noise_model is not None:
-            effective = noise_model
-        else:
-            effective = platform.noise
-        if effective is not None and effective.is_null:
-            effective = None
-        self.noise_model = effective
+        # The platform's background noise; a null model is None, so the
+        # engine choice and the jitter streams see a quiet machine.
+        noise = platform.noise
+        self.noise: Optional[NoiseModel] = None if noise is None or noise.is_null else noise
 
         self._tiles = max(1, int(round(spec.tiles_per_stack())))
         self._w = spec.work_per_tile(grid, platform) / platform.compute_scale
@@ -265,7 +241,7 @@ class WavefrontSimulator:
         process, or the global :mod:`random` state.  Deterministic noise
         models (and quiet runs) need no stream and get ``None``.
         """
-        if self.noise_model is None or not self.noise_model.is_stochastic:
+        if self.noise is None or not self.noise.is_stochastic:
             return None
         return Random(self.noise_seed * 1_000_003 + rank)
 
@@ -280,7 +256,7 @@ class WavefrontSimulator:
         i, j = grid.position_of(rank)
         phases = spec.schedule.phases
         jitter = self.rank_jitter_stream(rank)
-        noise = self.noise_model
+        noise = self.noise
         tiles = self._tiles
 
         def work(amount: float) -> float:
@@ -493,8 +469,6 @@ def simulate_wavefront(
     iterations: int = 1,
     simulate_nonwavefront: bool = True,
     enable_contention: bool = True,
-    compute_noise: float = 0.0,
-    noise_model: Optional[NoiseModel] = None,
     noise_seed: int = 0,
     fault_seed: int = 0,
     link_contention: bool = False,
@@ -511,8 +485,6 @@ def simulate_wavefront(
         iterations=iterations,
         simulate_nonwavefront=simulate_nonwavefront,
         enable_contention=enable_contention,
-        compute_noise=compute_noise,
-        noise_model=noise_model,
         noise_seed=noise_seed,
         fault_seed=fault_seed,
         link_contention=link_contention,

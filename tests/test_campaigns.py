@@ -33,6 +33,7 @@ from repro.campaigns.store import (
     repro_cache_dir,
 )
 from repro.cli import main
+from repro.core.hetero import SampledNoise
 
 # -- a counting backend: the instrument for the resumability contract ------------------
 
@@ -101,7 +102,7 @@ class TestCampaignSpec:
             total_cores=(4,),
             backends=("analytic-fast", "simulator"),
             noise_seeds=(0, 1, 2),
-            compute_noise=0.05,
+            noise_models=("sampled:0.05",),
         )
         points = spec.points()
         analytic = [p for p in points if p.backend == "analytic-fast"]
@@ -109,7 +110,7 @@ class TestCampaignSpec:
         # Seeds only differentiate noisy simulator points.
         assert len(analytic) == 1 and analytic[0].noise_seed is None
         assert sorted(p.noise_seed for p in simulator) == [0, 1, 2]
-        assert all(p.compute_noise == 0.05 for p in simulator)
+        assert all(p.noise_model == "sampled:0.05" for p in simulator)
 
     def test_seeds_collapse_without_noise(self):
         spec = CampaignSpec(
@@ -172,6 +173,75 @@ class TestCampaignSpec:
         path.write_text("not json")
         with pytest.raises(ValueError, match="not valid JSON"):
             load_campaign_file(path)
+
+
+#: Literal store keys of the v2 key format.  Every stored record is found
+#: by one of these hashes, so a change to ``CampaignPoint.to_dict`` that
+#: moves any of them orphans existing stores.
+PINNED_KEYS = [
+    (
+        "ad481f51206f7a40",
+        dict(app="lu-classA", platform="cray-xt4", total_cores=16, htile=None,
+             backend="analytic-fast"),
+    ),
+    (
+        "6734eba3aca1f267",
+        dict(app="chimaera-240", platform="cray-xt4", total_cores=1024, htile=4.0,
+             backend="analytic-vec"),
+    ),
+    (
+        "6ebec50d2f1bfbbe",
+        dict(app="sweep3d-20m", platform="cray-xt4", total_cores=64, htile=8.0,
+             backend="simulator"),
+    ),
+    (
+        "43794e4afabe08e4",
+        dict(app="lu-classA", platform="cray-xt4", total_cores=16, htile=None,
+             backend="simulator", noise_seed=3, noise_model="sampled:0.05"),
+    ),
+    (
+        "41dd19c59d4b92e4",
+        dict(app="chimaera-240", platform="cray-xt4", total_cores=64, htile=8.0,
+             backend="analytic-fast", speed_profile="stragglers:1x2.0",
+             noise_model="quantum:50/1000"),
+    ),
+    (
+        "e6e62ee6c12d467c",
+        dict(app="lu-classA", platform="cray-xt4-quad-chip", total_cores=64,
+             htile=2.0, backend="simulator", noise_seed=1, placement="colwise",
+             speed_profile="stragglers:2x2.0", noise_model="sampled:0.25",
+             fault_model="mtbf:1e7/repair:1e6/restart:1e5/interval:1e6/dump:5e3",
+             fault_seed=4),
+    ),
+]
+
+
+class TestPinnedKeys:
+    @pytest.mark.parametrize("key, fields", PINNED_KEYS, ids=[k for k, _ in PINNED_KEYS])
+    def test_key_format_is_stable(self, key, fields):
+        point = CampaignPoint(**fields)
+        assert point.key() == key
+        assert CampaignPoint.from_dict(point.to_dict()).key() == key
+
+    def test_v2_point_with_compute_noise_reads_as_sampled_noise(self):
+        # v2 records carry the retired amplitude; SampledNoise(a) at the
+        # same seed draws what compute_noise=a drew.
+        record = dict(
+            app="lu-classA", platform="cray-xt4", total_cores=16, htile=None,
+            backend="simulator", noise_seed=3, compute_noise=0.05,
+        )
+        point = CampaignPoint.from_dict(record)
+        assert point.noise_model == "sampled:0.05"
+        assert point.noise_seed == 3
+        assert point.build_platform().noise == SampledNoise(0.05)
+        quiet = CampaignPoint.from_dict({**record, "compute_noise": 0.0})
+        assert quiet.noise_model is None
+
+    def test_v2_spec_with_compute_noise_is_rejected(self):
+        spec = {"name": "legacy", "apps": ["lu-classA"], "total_cores": [4]}
+        assert CampaignSpec.from_dict({**spec, "compute_noise": 0.0}).name == "legacy"
+        with pytest.raises(ValueError, match=r'noise_models: \["sampled:0.05"\]'):
+            CampaignSpec.from_dict({**spec, "compute_noise": 0.05})
 
 
 # -- store -----------------------------------------------------------------------------
@@ -656,12 +726,12 @@ def _key_deduplicated(spec: CampaignSpec, monkeypatch) -> tuple[list, list]:
 
 _SEEDED_SPECS = [
     CampaignSpec(
-        name="legacy-noise-seeds",
+        name="sampled-noise-seeds",
         apps=("lu-classA",),
         total_cores=(4, 16),
         backends=("analytic-fast", "simulator"),
         noise_seeds=(0, 1, 2),
-        compute_noise=0.05,
+        noise_models=("sampled:0.05",),
     ),
     CampaignSpec(
         name="noise-model-seeds",
@@ -976,6 +1046,29 @@ class TestReport:
         report = campaign_report(tmp_path / "empty.store")
         assert "no results yet" in report
 
+    @pytest.mark.parametrize(
+        "field, value", [("compute_noise", 0.05), ("retired_axis", [1])]
+    )
+    def test_unparseable_header_renders_without_it(self, tmp_path, caplog, field, value):
+        spec = CampaignSpec(
+            name="header",
+            apps=("lu-classA",),
+            total_cores=(4,),
+            backends=("analytic-fast", "simulator"),
+        )
+        store_path = tmp_path / "header.store"
+        run_campaign(spec, store=store_path)
+        store = ResultStore(store_path)
+        store.set_spec({**spec.to_dict(), field: value})
+        store.close()
+        with caplog.at_level(logging.WARNING, logger="repro.campaigns.report"):
+            report = campaign_report(store_path)
+        assert "# Campaign report: (unnamed campaign)" in report
+        # The baseline falls back to the simulator, as for a headerless store.
+        assert "## Model vs measurement (baseline: simulator)" in report
+        assert "Across 1 configuration(s)" in report
+        assert any(field in message for message in caplog.messages)
+
     def test_noisy_baseline_pairs_every_seed(self, tmp_path):
         """A deterministic candidate is diffed against each noisy replica."""
         spec = CampaignSpec(
@@ -985,7 +1078,7 @@ class TestReport:
             backends=("analytic-fast", "simulator"),
             baseline="simulator",
             noise_seeds=(0, 1),
-            compute_noise=0.05,
+            noise_models=("sampled:0.05",),
         )
         store_path = tmp_path / "noisy.store"
         run_campaign(spec, store=store_path)

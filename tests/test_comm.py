@@ -120,29 +120,29 @@ class TestOnChipEquations:
 
 class TestPlatformDispatch:
     def test_total_comm_dispatch(self, xt4):
-        assert total_comm(xt4, 512, on_chip=False) == pytest.approx(
+        assert total_comm(xt4, 512, level="machine") == pytest.approx(
             total_comm_off_node(xt4.off_node, 512)
         )
-        assert total_comm(xt4, 512, on_chip=True) == pytest.approx(
+        assert total_comm(xt4, 512, level="chip") == pytest.approx(
             total_comm_on_chip(xt4.on_chip, 512)
         )
 
     def test_send_receive_dispatch(self, xt4):
-        assert send_cost(xt4, 2048, on_chip=True) == pytest.approx(
+        assert send_cost(xt4, 2048, level="chip") == pytest.approx(
             send_on_chip(xt4.on_chip, 2048)
         )
-        assert receive_cost(xt4, 2048, on_chip=False) == pytest.approx(
+        assert receive_cost(xt4, 2048, level="machine") == pytest.approx(
             receive_off_node(xt4.off_node, 2048)
         )
 
     def test_on_chip_dispatch_requires_on_chip_params(self, sp2):
         with pytest.raises(ValueError):
-            total_comm(sp2, 100, on_chip=True)
+            total_comm(sp2, 100, level="chip")
 
     def test_on_chip_cheaper_than_off_node_on_xt4(self, xt4):
         """Section 3.2: the per-byte path is faster on-chip for all sizes."""
         for size in (64, 1024, 4096, 65536):
-            assert total_comm(xt4, size, on_chip=True) < total_comm(xt4, size, on_chip=False)
+            assert total_comm(xt4, size, level="chip") < total_comm(xt4, size, level="machine")
 
     def test_sp2_much_slower_than_xt4(self, xt4, sp2):
         """Table 2 comparison: SP/2 costs are 1-2 orders of magnitude higher."""
@@ -151,18 +151,11 @@ class TestPlatformDispatch:
 
 class TestCommunicationCosts:
     def test_for_message_matches_functions(self, xt4):
-        costs = CommunicationCosts.for_message(xt4, 2048, on_chip=False)
+        costs = CommunicationCosts.for_message(xt4, 2048, level="machine")
         assert costs.send == pytest.approx(send_cost(xt4, 2048))
         assert costs.receive == pytest.approx(receive_cost(xt4, 2048))
         assert costs.total == pytest.approx(total_comm(xt4, 2048))
         assert costs.message_bytes == 2048
-
-    def test_with_added_contention(self, xt4):
-        costs = CommunicationCosts.for_message(xt4, 100)
-        bumped = costs.with_added(send_extra=1.0, receive_extra=2.0)
-        assert bumped.send == pytest.approx(costs.send + 1.0)
-        assert bumped.receive == pytest.approx(costs.receive + 2.0)
-        assert bumped.total == pytest.approx(costs.total + 3.0)
 
 
 class TestAllReduce:
@@ -174,8 +167,8 @@ class TestAllReduce:
 
     def test_dual_core_equation_9(self, xt4):
         p, c = 128, 2
-        off = total_comm(xt4, 8, on_chip=False)
-        on = total_comm(xt4, 8, on_chip=True)
+        off = total_comm(xt4, 8, level="machine")
+        on = total_comm(xt4, 8, level="chip")
         expected = (math.log2(p) - math.log2(c)) * c * off + math.log2(c) * c * on
         assert allreduce_time(xt4, p) == pytest.approx(expected)
 

@@ -161,22 +161,22 @@ class TestCoreMapping:
         mapping = CoreMapping(cx=1, cy=2)
         for i in range(1, 5):
             for j in range(1, 5):
-                assert not mapping.send_east_on_chip(i, j)
-                assert not mapping.comm_from_west_on_chip(i, j)
+                assert mapping.send_east_level(i, j) == "machine"
+                assert mapping.comm_from_west_level(i, j) == "machine"
         # j odd -> the north neighbour is on a different node; j even -> same node.
-        assert not mapping.receive_north_on_chip(2, 1)
-        assert mapping.receive_north_on_chip(2, 2)
-        assert mapping.send_south_on_chip(2, 1)
-        assert not mapping.send_south_on_chip(2, 2)
+        assert mapping.receive_north_level(2, 1) == "machine"
+        assert mapping.receive_north_level(2, 2) == "chip"
+        assert mapping.send_south_level(2, 1) == "chip"
+        assert mapping.send_south_level(2, 2) == "machine"
 
     def test_table6_rules_quad_core(self):
         mapping = CoreMapping(cx=2, cy=2)
         # i mod Cx != 0 -> SendE on chip.
-        assert mapping.send_east_on_chip(1, 1)
-        assert not mapping.send_east_on_chip(2, 1)
+        assert mapping.send_east_level(1, 1) == "chip"
+        assert mapping.send_east_level(2, 1) == "machine"
         # i mod Cx != 1 -> message from the west is on chip.
-        assert mapping.comm_from_west_on_chip(2, 1)
-        assert not mapping.comm_from_west_on_chip(1, 1)
+        assert mapping.comm_from_west_level(2, 1) == "chip"
+        assert mapping.comm_from_west_level(1, 1) == "machine"
 
     def test_node_of_groups_rectangles(self):
         mapping = CoreMapping(cx=2, cy=2)

@@ -1,8 +1,7 @@
 """Seeded-randomness determinism contracts.
 
-The stochastic pieces of the library - the simulator's sampled noise,
-whether expressed through the legacy ``compute_noise`` amplitude or a
-:class:`~repro.core.hetero.SampledNoise` platform model - must be
+The stochastic pieces of the library - the simulator's sampled noise, from
+a :class:`~repro.core.hetero.SampledNoise` platform model - must be
 bit-identical given a seed, regardless of *how* the evaluation is executed:
 
 * the same request list through ``predict_many`` with a thread pool and a
@@ -96,19 +95,6 @@ class TestSeedSemantics:
         )[0]
         assert a.time_per_iteration_us == b.time_per_iteration_us
 
-    def test_platform_noise_matches_legacy_compute_noise(self):
-        """SampledNoise(a) with seed s == the historical compute_noise=a, s."""
-        plain = cray_xt4()
-        legacy = predict_many(
-            [(lu_class("A"), plain, 16)],
-            backend=SimulatorBackend(compute_noise=0.1, noise_seed=5),
-        )[0]
-        modelled = predict_many(
-            [(lu_class("A"), plain.with_noise(SampledNoise(0.1)), 16)],
-            backend=SimulatorBackend(noise_seed=5),
-        )[0]
-        assert legacy.time_per_iteration_us == modelled.time_per_iteration_us
-
 
 class TestCampaignResumeBitIdentity:
     def _spec(self):
@@ -156,20 +142,6 @@ class TestCampaignResumeBitIdentity:
             assert json.dumps(resumed[key], sort_keys=True) == json.dumps(
                 full[key], sort_keys=True
             ), f"resumed record {key} drifted"
-
-    def test_legacy_compute_noise_conflicts_with_noise_models_axis(self):
-        # The legacy amplitude would shadow every noise_models value on
-        # simulator points, silently producing identical rows under
-        # different labels - reject the combination outright.
-        with pytest.raises(ValueError, match="sampled:<amplitude>"):
-            CampaignSpec(
-                name="conflict",
-                apps=("lu-classA",),
-                total_cores=(4,),
-                backends=("simulator",),
-                compute_noise=0.05,
-                noise_models=("quantum:50/1000",),
-            )
 
     def test_seeds_expand_only_for_stochastic_points(self):
         spec = CampaignSpec(

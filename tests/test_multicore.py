@@ -115,8 +115,8 @@ class TestFillStepCosts:
     def test_dual_core_north_south_alternates(self, spec, grid):
         """With a 1x2 rectangle the north/south partner alternates on/off chip."""
         xt4 = cray_xt4()
-        ns_on = CommunicationCosts.for_message(xt4, spec.message_size_ns(grid), on_chip=True)
-        ns_off = CommunicationCosts.for_message(xt4, spec.message_size_ns(grid), on_chip=False)
+        ns_on = CommunicationCosts.for_message(xt4, spec.message_size_ns(grid), level="chip")
+        ns_off = CommunicationCosts.for_message(xt4, spec.message_size_ns(grid), level="machine")
         even_row = fill_step_costs(xt4, spec, grid, 3, 2)
         odd_row = fill_step_costs(xt4, spec, grid, 3, 3)
         assert even_row.receive_north == pytest.approx(ns_on.receive)
@@ -124,7 +124,7 @@ class TestFillStepCosts:
 
     def test_dual_core_east_west_always_off_node(self, spec, grid):
         xt4 = cray_xt4()
-        ew_off = CommunicationCosts.for_message(xt4, spec.message_size_ew(grid), on_chip=False)
+        ew_off = CommunicationCosts.for_message(xt4, spec.message_size_ew(grid), level="machine")
         for i in range(1, 5):
             for j in range(1, 5):
                 costs = fill_step_costs(xt4, spec, grid, i, j)
@@ -133,7 +133,7 @@ class TestFillStepCosts:
 
     def test_quad_core_interior_east_on_chip(self, spec, grid):
         quad = cray_xt4(cores_per_node=4)
-        ew_on = CommunicationCosts.for_message(quad, spec.message_size_ew(grid), on_chip=True)
+        ew_on = CommunicationCosts.for_message(quad, spec.message_size_ew(grid), level="chip")
         costs = fill_step_costs(quad, spec, grid, 1, 1)  # left column of a 2x2 rectangle
         assert costs.send_east == pytest.approx(ew_on.send)
 
@@ -143,8 +143,8 @@ class TestStackCommCosts:
         """Equation (r4) uses off-node costs even on multicore nodes."""
         xt4 = cray_xt4()
         costs = stack_comm_costs(xt4, spec, grid)
-        ew = CommunicationCosts.for_message(xt4, spec.message_size_ew(grid), on_chip=False)
-        ns = CommunicationCosts.for_message(xt4, spec.message_size_ns(grid), on_chip=False)
+        ew = CommunicationCosts.for_message(xt4, spec.message_size_ew(grid), level="machine")
+        ns = CommunicationCosts.for_message(xt4, spec.message_size_ns(grid), level="machine")
         assert costs.receive_west == pytest.approx(ew.receive)
         assert costs.send_south == pytest.approx(ns.send)
         expected_total = (

@@ -16,6 +16,7 @@ from repro.apps.chimaera import chimaera
 from repro.apps.lu import lu
 from repro.apps.sweep3d import Sweep3DConfig, sweep3d
 from repro.core.decomposition import ProblemSize, ProcessorGrid
+from repro.core.hetero import SampledNoise
 from repro.simulator.wavefront import WavefrontSimulator, simulate_wavefront
 
 REL_TOL = 1e-9
@@ -125,9 +126,8 @@ class TestEngineSelection:
     def test_noise_falls_back_to_event_engine(self, problem, xt4_single):
         simulator = WavefrontSimulator(
             chimaera(problem, iterations=1),
-            xt4_single,
+            xt4_single.with_noise(SampledNoise(0.1)),
             grid=ProcessorGrid(4, 4),
-            compute_noise=0.1,
         )
         assert "jitter" in simulator.aggregation_unsupported_reason()
 
@@ -158,9 +158,8 @@ class TestEngineSelection:
     def test_auto_with_noise_still_runs(self, problem, xt4_single):
         result = simulate_wavefront(
             chimaera(problem, iterations=1),
-            xt4_single,
+            xt4_single.with_noise(SampledNoise(0.1)),
             grid=ProcessorGrid(4, 4),
-            compute_noise=0.1,
             noise_seed=3,
         )
         assert result.makespan_us > 0

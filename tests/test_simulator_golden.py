@@ -72,18 +72,18 @@ SCENARIOS: dict[str, tuple[Callable, Callable, dict[str, Any]]] = {
     "quad-chip-chimaera-8": (chimaera_240cubed, cray_xt4_quad_chip, {"total_cores": 8}),
     "xt4-sweep3d-16-fixed-quantum": (
         sweep3d_20m,
-        cray_xt4,
-        {"total_cores": 16, "noise_model": FixedQuantumNoise(50.0, 1000.0)},
+        lambda: cray_xt4().with_noise(FixedQuantumNoise(50.0, 1000.0)),
+        {"total_cores": 16},
     ),
     "xt4-lu-16-sampled-seed0": (
         _lu,
-        cray_xt4,
-        {"total_cores": 16, "noise_model": SampledNoise(0.1), "noise_seed": 0},
+        lambda: cray_xt4().with_noise(SampledNoise(0.1)),
+        {"total_cores": 16, "noise_seed": 0},
     ),
     "xt4-lu-16-sampled-seed7": (
         _lu,
-        cray_xt4,
-        {"total_cores": 16, "noise_model": SampledNoise(0.1), "noise_seed": 7},
+        lambda: cray_xt4().with_noise(SampledNoise(0.1)),
+        {"total_cores": 16, "noise_seed": 7},
     ),
     "xt4-lu-16-faults": (
         _lu,

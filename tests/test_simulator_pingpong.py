@@ -18,7 +18,7 @@ class TestPingPong:
     def test_half_round_trip_matches_table1(self, xt4, size, on_chip):
         """Without contention the simulated ping-pong reproduces Table 1."""
         sample = ping_pong(xt4, size, on_chip=on_chip, repetitions=4)
-        expected = total_comm(xt4, size, on_chip=on_chip)
+        expected = total_comm(xt4, size, level="chip" if on_chip else "machine")
         assert sample.one_way_time_us == pytest.approx(expected, rel=1e-9)
 
     def test_repetitions_do_not_change_mean(self, xt4):

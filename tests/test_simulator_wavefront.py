@@ -154,7 +154,7 @@ class TestOperationReuse:
         spec = lu(ProblemSize(32, 32, 16), iterations=1)
         counts, _ = _count_constructions(
             monkeypatch,
-            lambda: self._run(spec, xt4, noise_model=SampledNoise(0.1), noise_seed=3),
+            lambda: self._run(spec, xt4.with_noise(SampledNoise(0.1)), noise_seed=3),
         )
         tiles = int(spec.tiles_per_stack())
         ranks = self.GRID.total_processors
