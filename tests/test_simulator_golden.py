@@ -1,7 +1,8 @@
-"""Bit-for-bit regression of the per-rank event engine.
+"""Bit-for-bit regression of both simulator engines.
 
 ``tests/data/golden_simulator.json`` pins, for a matrix of small scenarios
-run with ``engine="event"``, everything a simulation reports: the makespan,
+run with ``engine="event"`` unless a scenario names another engine,
+everything a simulation reports: the makespan,
 every sweep's completion time, the event count, the bus and link queue
 delays and transfer counts, and every rank's :class:`RankStats`.  Floats are
 stored as ``float.hex`` strings and compared exactly, so any change to the
@@ -19,7 +20,11 @@ the machine:
 * deterministic ``FixedQuantumNoise`` and per-tile ``SampledNoise`` at two
   seeds;
 * a fault model under which ranks both fail and checkpoint;
-* a slowdown window, per-link FIFO contention and a straggler node.
+* a slowdown window, per-link FIFO contention and a straggler node;
+* the aggregated engine on single-core ``cray-xt4-1core``: LU (whose
+  stencil phase runs on the event machine, started from the aggregated
+  sweep times), LU over two iterations, Sweep3D, and Chimaera (whose
+  all-reduces run on the event machine too).
 
 The simulator is stdlib-only, so these bytes depend on no optional
 package.  Regenerating after an *intentional* change to the engine::
@@ -42,7 +47,7 @@ import pytest
 from repro.apps.workloads import chimaera_240cubed, lu_class, sweep3d_20m
 from repro.core.faults import FaultModel
 from repro.core.hetero import FixedQuantumNoise, SampledNoise, SlowdownWindow, SpeedProfile
-from repro.platforms import cray_xt4, cray_xt4_quad_chip
+from repro.platforms import cray_xt4, cray_xt4_quad_chip, cray_xt4_single_core
 from repro.simulator.wavefront import WavefrontSimulator, WavefrontSimulationResult
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_simulator.json"
@@ -61,7 +66,8 @@ def _lu():
     return lu_class("A")
 
 
-#: name -> (spec factory, platform factory, WavefrontSimulator keywords).
+#: name -> (spec factory, platform factory, WavefrontSimulator keywords);
+#: the engine is ``"event"`` unless the keywords name one.
 SCENARIOS: dict[str, tuple[Callable, Callable, dict[str, Any]]] = {
     "xt4-lu-16": (_lu, cray_xt4, {"total_cores": 16}),
     "xt4-lu-16-iterations2": (_lu, cray_xt4, {"total_cores": 16, "iterations": 2}),
@@ -107,6 +113,26 @@ SCENARIOS: dict[str, tuple[Callable, Callable, dict[str, Any]]] = {
         lambda: cray_xt4_quad_chip().with_speed_profile(SpeedProfile.stragglers(1, 2.0)),
         {"total_cores": 16},
     ),
+    "xt4-1core-lu-16-aggregated": (
+        _lu,
+        cray_xt4_single_core,
+        {"total_cores": 16, "engine": "aggregated"},
+    ),
+    "xt4-1core-lu-16-iterations2-aggregated": (
+        _lu,
+        cray_xt4_single_core,
+        {"total_cores": 16, "iterations": 2, "engine": "aggregated"},
+    ),
+    "xt4-1core-sweep3d-16-aggregated": (
+        sweep3d_20m,
+        cray_xt4_single_core,
+        {"total_cores": 16, "engine": "aggregated"},
+    ),
+    "xt4-1core-chimaera-16-aggregated": (
+        chimaera_240cubed,
+        cray_xt4_single_core,
+        {"total_cores": 16, "engine": "aggregated"},
+    ),
 }
 
 
@@ -137,7 +163,7 @@ def _pin(result: WavefrontSimulationResult) -> dict[str, Any]:
 
 def _run(name: str) -> WavefrontSimulationResult:
     spec, platform, options = SCENARIOS[name]
-    return WavefrontSimulator(spec(), platform(), engine="event", **options).run()
+    return WavefrontSimulator(spec(), platform(), **{"engine": "event", **options}).run()
 
 
 def _render(entries: dict[str, dict[str, Any]]) -> str:
