@@ -11,6 +11,9 @@ asserts the engine contract:
 * aggregated and per-rank agree to within 1e-9 relative at 4096 cores, and
 * the aggregated engine is at least 10x faster there.
 
+The record also carries the event engine's cost per processed event, from
+the same one-shot run.
+
 Under ``pytest --update-bench`` a machine-readable record is written to
 ``BENCH_simulator.json`` so that downstream tooling can track the speedup
 across revisions.
@@ -78,6 +81,8 @@ def test_simulator_fastpath_speedup_4096(benchmark, xt4_single, update_bench):
         "tiles": spec.tiles_per_stack(),
         "nsweeps": spec.nsweeps,
         "event_engine_s": event_s,
+        "event_engine_events": event.stats.events,
+        "event_engine_us_per_event": event_s / event.stats.events * 1e6,
         "aggregated_engine_s": fast_s,
         "speedup": speedup,
         "relative_error": rel,

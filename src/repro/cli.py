@@ -340,7 +340,10 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
 def _campaign_spec(args: argparse.Namespace):
     """Resolve ``--name``/``--spec`` (and ``--max-cores``) into a CampaignSpec."""
     if getattr(args, "spec", None):
-        spec = load_campaign_file(args.spec)
+        try:
+            spec = load_campaign_file(args.spec)
+        except (OSError, ValueError) as exc:
+            raise SystemExit(str(exc)) from exc
     elif getattr(args, "name", None):
         try:
             spec = get_campaign(args.name)

@@ -16,7 +16,6 @@ Main entry points:
   used to check equation (9).
 """
 
-from repro.simulator.engine import SimulationError, Simulator
 from repro.simulator.machine import (
     Compute,
     MachineStats,
@@ -25,6 +24,7 @@ from repro.simulator.machine import (
     Recv,
     Send,
     SimulatedMachine,
+    SimulationError,
     WaitBarrier,
     linear_node_assignment,
 )
@@ -49,7 +49,6 @@ __all__ = [
     "SIMULATOR_ENGINES",
     "aggregation_unsupported_reason",
     "SimulationError",
-    "Simulator",
     "Compute",
     "MachineStats",
     "Mark",

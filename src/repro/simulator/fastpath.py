@@ -24,10 +24,11 @@ barriers.  With
 every operation's completion time is a closed-form function of its
 predecessors: the max-plus recurrence written out in :func:`_advance_sweep`.
 The expressions mirror :meth:`SimulatedMachine._handle_send` /
-``_handle_recv`` / ``_complete_rendezvous`` term by term (including the
-floating-point association order), so the aggregated engine reproduces the
-per-rank engine's timings exactly - the regression tests assert agreement to
-``<= 1e-9`` relative, and in practice the times are bit-identical.
+``_handle_recv`` / ``_complete_rendezvous`` / ``_payload_arrival`` term by
+term (including the floating-point association order), so the aggregated
+engine reproduces the per-rank engine's timings exactly - the regression
+tests assert agreement to ``<= 1e-9`` relative, and in practice the times
+are bit-identical.
 
 Multi-core mappings (heterogeneous on-chip/off-node costs plus bus
 contention) and noisy runs fall back to the event engine automatically; see
@@ -47,8 +48,12 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.apps.base import AllReduceNonWavefront, FillClass, NoNonWavefront
 from repro.core.decomposition import ProcessorGrid
-from repro.simulator.engine import SimulationError
-from repro.simulator.machine import MachineStats, RankStats, SimulatedMachine
+from repro.simulator.machine import (
+    MachineStats,
+    RankStats,
+    SimulatedMachine,
+    SimulationError,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
     from repro.simulator.wavefront import WavefrontSimulator

@@ -16,6 +16,13 @@ XT4's MPI (Section 3 of the paper):
   concurrent transfers experience is the mechanistic origin of the Table 6
   contention term.
 
+:class:`SimulatedMachine` owns the event loop.  Its queue is a binary heap
+of ``(time, sequence, rank)`` entries, each one a rank to resume at a
+virtual time; ties in time are broken by insertion order, so a run is fully
+deterministic.  The loop pops the earliest entry and drives that rank's
+program until it blocks or finishes, continuing inline past operations that
+complete at once.
+
 The machine knows nothing about wavefronts; :mod:`repro.simulator.wavefront`
 builds the per-rank programs for LU / Sweep3D / Chimaera and
 :mod:`repro.simulator.pingpong` builds the microbenchmarks.
@@ -23,15 +30,17 @@ builds the per-rank programs for LU / Sweep3D / Chimaera and
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
+import sys
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
-from typing import Callable, Deque, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Hashable, Iterator, List, Optional, Tuple, Union
 
 from repro.core.faults import FAULT_STREAM_STRIDE
-from repro.core.loggp import Platform
-from repro.simulator.engine import SimulationError, Simulator
+from repro.core.loggp import OffNodeParams, OnChipParams, Platform
 from repro.simulator.resources import FifoBus, LinkResources, NodeResources
 
 __all__ = [
@@ -44,8 +53,13 @@ __all__ = [
     "RankStats",
     "MachineStats",
     "SimulatedMachine",
+    "SimulationError",
     "linear_node_assignment",
 ]
+
+
+class SimulationError(RuntimeError):
+    """Raised when a simulation reaches an inconsistent state (e.g. deadlock)."""
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +107,9 @@ class WaitBarrier:
 
 Op = object
 RankProgram = Iterator[Op]
+#: How a message travels: on-chip with the platform's on-chip parameters,
+#: or through the off-node protocol with a link's parameters.
+Route = Tuple[bool, Union[OnChipParams, OffNodeParams]]
 
 
 # ---------------------------------------------------------------------------
@@ -146,36 +163,6 @@ class MachineStats:
     @property
     def total_bytes(self) -> float:
         return sum(r.bytes_sent for r in self.ranks)
-
-
-# ---------------------------------------------------------------------------
-# Internal message bookkeeping
-# ---------------------------------------------------------------------------
-
-@dataclass
-class _Delivered:
-    """A message whose payload arrival time is already known."""
-
-    data_ready: float
-    recv_cost: float
-    nbytes: float
-
-
-@dataclass
-class _PendingRendezvous:
-    """A rendezvous send waiting for the matching receive to be posted."""
-
-    sender: int
-    send_init: float
-    nbytes: float
-
-
-@dataclass
-class _PendingRecv:
-    """A receive posted before any matching message was available."""
-
-    receiver: int
-    post_time: float
 
 
 def linear_node_assignment(total_ranks: int, cores_per_node: int) -> List[int]:
@@ -285,69 +272,80 @@ class SimulatedMachine:
             self._next_failure = [
                 rng.expovariate(rate) for rng in self._fault_rngs
             ]
-        self.sim = Simulator()
 
-        # Build per-node shared resources and per-rank core indices.
+        # The event queue: (time, sequence, rank) entries in a binary heap.
+        self.now = 0.0
+        self._queue: List[Tuple[float, int, int]] = []
+        self._sequence = itertools.count()
+        self._events = 0
+
+        # Build per-node shared resources, then give each rank the bus its
+        # DMA transfers queue on: None where they never queue (contention
+        # off, no on-chip parameters, or a core alone on its bus).
         self._nodes: Dict[int, NodeResources] = {}
-        self._core_index: List[int] = [0] * total_ranks
+        core_index: List[int] = [0] * total_ranks
         counts: Dict[int, int] = defaultdict(int)
         for rank, node in enumerate(self.rank_to_node):
-            self._core_index[rank] = counts[node]
+            core_index[rank] = counts[node]
             counts[node] += 1
-        for node, count in counts.items():
-            cores = max(count, 1)
+        for node, cores in counts.items():
             buses = platform.node.buses_per_node
             # A node cannot have more bus groups than cores actually placed on it.
             buses = min(buses, cores)
             while cores % buses != 0:
                 buses -= 1
             self._nodes[node] = NodeResources(cores_per_node=cores, buses_per_node=buses)
+        self._buses: List[Optional[FifoBus]] = [None] * total_ranks
+        if enable_contention and platform.on_chip is not None:
+            for rank, node in enumerate(self.rank_to_node):
+                resources = self._nodes[node]
+                if resources.cores_per_bus > 1:
+                    self._buses[rank] = resources.bus_for_core(core_index[rank])
+        # Per source rank, destination -> (on_chip, params) of that hop,
+        # filled on the first message between the two.
+        self._routes: List[Dict[int, Route]] = [{} for _ in range(total_ranks)]
 
         self._programs: Dict[int, RankProgram] = {}
         self._start_times: Dict[int, float] = {}
         self._done: Dict[int, bool] = {}
         self.stats = [RankStats() for _ in range(total_ranks)]
 
-        self._mailbox: Dict[Tuple[int, int, int], Deque[_Delivered]] = defaultdict(deque)
-        self._pending_sends: Dict[Tuple[int, int, int], Deque[_PendingRendezvous]] = defaultdict(deque)
-        self._pending_recvs: Dict[Tuple[int, int, int], Deque[_PendingRecv]] = defaultdict(deque)
-        self._recv_blocked_since: Dict[int, float] = {}
-        self._send_blocked_since: Dict[int, float] = {}
+        # Message records are plain tuples: a delivered message is
+        # (data_ready, recv_cost), a rendezvous send waiting for its receive
+        # is (sender, send_init, nbytes, params), and a receive posted before
+        # any matching message is its post time.  A queue is dropped once it
+        # empties: wavefront tags are unique per sweep, so kept queues would
+        # pile up for the whole run.
+        self._mailbox: Dict[Tuple[int, int, int], Deque[Tuple[float, float]]] = defaultdict(deque)
+        self._pending_sends: Dict[
+            Tuple[int, int, int], Deque[Tuple[int, float, float, OffNodeParams]]
+        ] = defaultdict(deque)
+        self._pending_recvs: Dict[Tuple[int, int, int], Deque[float]] = defaultdict(deque)
 
         self._barriers_released: Dict[Hashable, bool] = {}
         self._barrier_waiters: Dict[Hashable, List[Tuple[int, float]]] = defaultdict(list)
         self._marks: Dict[Hashable, int] = defaultdict(int)
         self._mark_callbacks: Dict[Hashable, List[Callable[[float], None]]] = defaultdict(list)
 
-    # -- topology helpers -----------------------------------------------------------
+    def _route(self, src: int, dst: int) -> Route:
+        """``(on_chip, params)`` for messages from ``src`` to ``dst``.
 
-    def node_of(self, rank: int) -> int:
-        return self.rank_to_node[rank]
-
-    def same_node(self, a: int, b: int) -> bool:
-        return self.rank_to_node[a] == self.rank_to_node[b]
-
-    def same_chip(self, a: int, b: int) -> bool:
-        return self.rank_to_chip[a] == self.rank_to_chip[b]
-
-    def _link_params(self, a: int, b: int):
-        """Off-node-protocol LogGP parameters for a non-on-chip hop.
-
-        Hierarchical platforms route same-node chip-to-chip messages over
-        the ``intra_node`` link; everything else uses the machine
-        interconnect.
+        On-chip hops (same node and, on hierarchical platforms, same chip)
+        use the platform's on-chip parameters when it has them.  Every other
+        hop uses the off-node protocol: hierarchical platforms route same-node
+        chip-to-chip messages over the ``intra_node`` link, everything else
+        over the machine interconnect.
         """
-        if (
-            self.platform.intra_node is not None
-            and self.same_node(a, b)
-            and not self.same_chip(a, b)
-        ):
-            return self.platform.intra_node
-        return self.platform.off_node
-
-    def bus_of(self, rank: int) -> FifoBus:
-        node = self._nodes[self.rank_to_node[rank]]
-        return node.bus_for_core(self._core_index[rank])
+        if not 0 <= dst < self.total_ranks:
+            raise SimulationError(f"send to unknown rank {dst}")
+        platform = self.platform
+        same_node = self.rank_to_node[src] == self.rank_to_node[dst]
+        same_chip = self.rank_to_chip[src] == self.rank_to_chip[dst]
+        if platform.intra_node is not None and same_node and not same_chip:
+            return False, platform.intra_node
+        if same_node and platform.on_chip is not None:
+            return True, platform.on_chip
+        return False, platform.off_node
 
     # -- program / barrier / mark API -------------------------------------------------
 
@@ -379,19 +377,19 @@ class SimulatedMachine:
         self._barriers_released[key] = True
         waiters = self._barrier_waiters.pop(key, [])
         for rank, blocked_since in waiters:
-            self.stats[rank].barrier_time += self.sim.now - blocked_since
-            self._schedule_advance(rank, self.sim.now)
+            self.stats[rank].barrier_time += self.now - blocked_since
+            self._schedule(rank, self.now)
 
     def on_mark(self, key: Hashable, count: int, callback: Callable[[float], None]) -> None:
         """Invoke ``callback(time)`` once ``count`` ranks have marked ``key``."""
 
         def check(_time: float) -> None:
             if self._marks[key] >= count:
-                callback(self.sim.now)
+                callback(self.now)
 
         self._mark_callbacks[key].append(check)
         # The count may already have been reached before registration.
-        check(self.sim.now)
+        check(self.now)
 
     def mark_count(self, key: Hashable) -> int:
         return self._marks[key]
@@ -401,27 +399,29 @@ class SimulatedMachine:
     def run(self, *, max_events: Optional[int] = None) -> MachineStats:
         """Execute every registered rank program to completion.
 
-        The ``on_mark`` callbacks are dropped when the run returns or
-        raises: they close over the machine, and left in place they would
-        keep it alive as a reference cycle.
+        ``max_events`` bounds the number of events processed, a guard
+        against accidental infinite event loops.  The ``on_mark`` callbacks
+        are dropped when the run returns or raises: they close over the
+        machine, and left in place they would keep it alive as a reference
+        cycle.
         """
-        for rank in self._programs:
-            self._schedule_advance(rank, self._start_times.get(rank, 0.0))
+        for rank, start_time in self._start_times.items():
+            self._schedule(rank, start_time)
         try:
-            self.sim.run(max_events=max_events)
+            self._run_events(sys.maxsize if max_events is None else max_events)
         finally:
             self._mark_callbacks.clear()
         unfinished = [rank for rank, done in self._done.items() if not done]
         if unfinished:
             raise SimulationError(
                 f"simulation deadlocked: ranks {unfinished[:8]} did not finish "
-                f"(t={self.sim.now}, {self.sim.events_processed} events)"
+                f"(t={self.now}, {self._events} events)"
             )
-        makespan = max((s.finish_time for s in self.stats), default=self.sim.now)
+        makespan = max((s.finish_time for s in self.stats), default=self.now)
         return MachineStats(
             ranks=self.stats,
             makespan=makespan,
-            events=self.sim.events_processed,
+            events=self._events,
             bus_queue_delay=sum(n.total_queue_delay for n in self._nodes.values()),
             bus_transfers=sum(n.total_transfers for n in self._nodes.values()),
             link_queue_delay=(
@@ -432,63 +432,109 @@ class SimulatedMachine:
             ),
         )
 
-    def _schedule_advance(self, rank: int, time: float) -> None:
-        self.sim.schedule_at(time, lambda: self._advance(rank))
+    def _schedule(self, rank: int, time: float) -> None:
+        """Resume ``rank``'s program at virtual time ``time``."""
+        now = self.now
+        if time < now - 1e-9:
+            raise SimulationError(
+                f"cannot schedule event in the past: {time} < now {now}"
+            )
+        heapq.heappush(self._queue, (max(time, now), next(self._sequence), rank))
 
-    def _advance(self, rank: int) -> None:
-        """Drive ``rank``'s program until it blocks or finishes."""
-        program = self._programs[rank]
-        while True:
-            try:
-                op = next(program)
-            except StopIteration:
-                self._done[rank] = True
-                self.stats[rank].finish_time = self.sim.now
-                return
-            resume = self._handle(rank, op)
-            if resume is None:
-                return  # blocked; an external event will reschedule us
-            if resume > self.sim.now + 1e-12:
-                self._schedule_advance(rank, resume)
-                return
-            # Operation completed instantaneously (or in the past); continue.
+    def _run_events(self, max_events: int) -> None:
+        """Process events until the queue drains.
+
+        Each event resumes one rank, whose program then runs until an
+        operation blocks it (a receive or rendezvous send with no partner
+        yet, a closed barrier) or ends later than 1e-12 µs from now, which
+        re-enters the queue.  ``Send``, ``Recv`` and, on a machine without
+        slowdown windows or faults, ``Compute`` dispatch on their exact
+        type; every other operation goes through :meth:`_handle`.  The bound
+        methods stay locals of this frame: stored on the machine they
+        would form a reference cycle.
+        """
+        queue = self._queue
+        pop, push = heapq.heappop, heapq.heappush
+        sequence = self._sequence
+        programs = self._programs
+        stats = self.stats
+        send, recv, handle = self._handle_send, self._handle_recv, self._handle
+        plain_compute = self._window_profile is None and self.faults is None
+        compute_scale = self.platform.compute_scale
+        work_scale = self._work_scale
+        processed = 0
+        try:
+            while queue:
+                if processed >= max_events:
+                    raise SimulationError(
+                        f"event limit of {max_events} exceeded at t={self.now}"
+                    )
+                now, _, rank = pop(queue)
+                self.now = now
+                processed += 1
+                for op in programs[rank]:
+                    kind = type(op)
+                    if kind is Send:
+                        resume = send(rank, op, now)
+                    elif kind is Recv:
+                        resume = recv(rank, op, now)
+                    elif kind is Compute and plain_compute:
+                        duration = op.duration
+                        if duration < 0:
+                            raise SimulationError("negative compute duration")
+                        # Platform.scaled_work, then the node's multiplier
+                        # (exactly 1.0 on homogeneous machines).
+                        duration = duration * compute_scale * work_scale[rank]
+                        stats[rank].compute_time += duration
+                        resume = now + duration
+                    else:
+                        resume = handle(rank, op, now)
+                    if resume is None:
+                        break  # blocked; another rank's operation resumes it
+                    if resume > now + 1e-12:
+                        # Strictly later than now, so _schedule's past check
+                        # and clamp would both be no-ops.
+                        push(queue, (resume, next(sequence), rank))
+                        break
+                else:
+                    self._done[rank] = True
+                    stats[rank].finish_time = now
+        finally:
+            self._events += processed
 
     # -- operation handlers -------------------------------------------------------------
 
-    def _handle(self, rank: int, op: Op) -> Optional[float]:
+    def _handle(self, rank: int, op: Op, now: float) -> Optional[float]:
+        """Run ``op`` for ``rank``; its completion time, or None if it blocks."""
         if isinstance(op, Compute):
             if op.duration < 0:
                 raise SimulationError("negative compute duration")
-            duration = self.platform.scaled_work(op.duration)
-            scale = self._work_scale[rank]
-            if scale != 1.0:  # repro: noqa[RPR004] homogeneous ranks carry exactly 1.0; multiply only when heterogeneity is configured
-                duration *= scale
+            duration = self.platform.scaled_work(op.duration) * self._work_scale[rank]
             if self._window_profile is not None:
-                factor = self._window_profile.window_factor(
-                    self.rank_to_node[rank], self.sim.now
+                # Exactly 1.0 outside every window.
+                duration *= self._window_profile.window_factor(
+                    self.rank_to_node[rank], now
                 )
-                if factor != 1.0:  # repro: noqa[RPR004] outside every window the factor is exactly 1.0 (bit-for-bit identity)
-                    duration *= factor
             if self.faults is None:
                 self.stats[rank].compute_time += duration
-                return self.sim.now + duration
-            end = self._faulted_compute(rank, self.sim.now, duration)
-            self.stats[rank].compute_time += end - self.sim.now
-            self.stats[rank].fault_time += (end - self.sim.now) - duration
+                return now + duration
+            end = self._faulted_compute(rank, now, duration)
+            self.stats[rank].compute_time += end - now
+            self.stats[rank].fault_time += (end - now) - duration
             return end
         if isinstance(op, Send):
-            return self._handle_send(rank, op)
+            return self._handle_send(rank, op, now)
         if isinstance(op, Recv):
-            return self._handle_recv(rank, op)
+            return self._handle_recv(rank, op, now)
         if isinstance(op, Mark):
             self._marks[op.key] += 1
             for callback in self._mark_callbacks.get(op.key, []):
-                callback(self.sim.now)
-            return self.sim.now
+                callback(now)
+            return now
         if isinstance(op, WaitBarrier):
             if self._barriers_released.get(op.key, False):
-                return self.sim.now
-            self._barrier_waiters[op.key].append((rank, self.sim.now))
+                return now
+            self._barrier_waiters[op.key].append((rank, now))
             return None
         raise SimulationError(f"unknown operation {op!r}")
 
@@ -542,20 +588,14 @@ class SimulatedMachine:
 
     # -- send path ---------------------------------------------------------------------
 
-    def _dma_duration(self, nbytes: float) -> float:
-        on_chip = self.platform.on_chip
-        if on_chip is None:
-            return 0.0
-        return on_chip.dma_setup + nbytes * on_chip.gap_per_byte_dma
-
     def _bus_delay(self, rank: int, request_time: float, nbytes: float) -> float:
         """Queueing delay for a DMA crossing ``rank``'s node bus."""
-        if not self.enable_contention or self.platform.on_chip is None:
+        bus = self._buses[rank]
+        if bus is None:
             return 0.0
-        node = self._nodes[self.rank_to_node[rank]]
-        if node.cores_per_bus <= 1:
-            return 0.0
-        return self.bus_of(rank).queueing_delay(request_time, self._dma_duration(nbytes))
+        on_chip = self.platform.on_chip
+        duration = on_chip.dma_setup + nbytes * on_chip.gap_per_byte_dma
+        return bus.acquire(request_time, duration) - request_time
 
     def _link_delay(
         self, src: int, dst: int, request_time: float, duration: float
@@ -568,88 +608,88 @@ class SimulatedMachine:
         """
         if self._links is None:
             return 0.0
-        return self._links.queueing_delay(
-            self.rank_to_node[src], self.rank_to_node[dst], request_time, duration
-        )
+        link = self._links.link_for(self.rank_to_node[src], self.rank_to_node[dst])
+        return link.acquire(request_time, duration) - request_time
 
-    def _handle_send(self, rank: int, op: Send) -> Optional[float]:
-        if not 0 <= op.dst < self.total_ranks:
-            raise SimulationError(f"send to unknown rank {op.dst}")
-        if op.nbytes < 0:
+    def _payload_arrival(
+        self, src: int, dst: int, start: float, nbytes: float, params: OffNodeParams
+    ) -> float:
+        """When an off-node payload injected at ``start`` is in ``dst``'s memory.
+
+        The LogGP wire time ``start + M G + L``, plus the queueing delays of
+        the source bus, the link and the destination bus, in that order.
+        """
+        base_ready = start + nbytes * params.gap_per_byte + params.latency
+        delay_src = self._bus_delay(src, start, nbytes)
+        delay_link = self._link_delay(
+            src, dst, start + delay_src, nbytes * params.gap_per_byte
+        )
+        delay_dst = self._bus_delay(dst, base_ready + delay_src + delay_link, nbytes)
+        return base_ready + delay_src + delay_link + delay_dst
+
+    def _handle_send(self, rank: int, op: Send, now: float) -> Optional[float]:
+        dst = op.dst
+        nbytes = op.nbytes
+        routes = self._routes[rank]
+        route = routes.get(dst)
+        if route is None:
+            route = routes[dst] = self._route(rank, dst)
+        if nbytes < 0:
             raise SimulationError("negative message size")
-        self.stats[rank].messages_sent += 1
-        self.stats[rank].bytes_sent += op.nbytes
-        now = self.sim.now
-        on_chip = self.same_node(rank, op.dst) and (
-            self.platform.intra_node is None or self.same_chip(rank, op.dst)
-        )
-        key = (op.dst, rank, op.tag)
+        stats = self.stats[rank]
+        stats.messages_sent += 1
+        stats.bytes_sent += nbytes
+        on_chip, params = route
+        key = (dst, rank, op.tag)
 
-        if on_chip and self.platform.on_chip is not None:
-            params = self.platform.on_chip
-            if op.nbytes <= params.eager_limit:
+        if on_chip:
+            if nbytes <= params.eager_limit:
                 sender_resume = now + params.copy_overhead
-                data_ready = sender_resume + op.nbytes * params.gap_per_byte_copy
+                data_ready = sender_resume + nbytes * params.gap_per_byte_copy
             else:
                 setup_done = now + params.overhead
-                delay = self._bus_delay(rank, setup_done, op.nbytes)
+                delay = self._bus_delay(rank, setup_done, nbytes)
                 sender_resume = setup_done
-                data_ready = setup_done + delay + op.nbytes * params.gap_per_byte_dma
-            self._deliver(key, _Delivered(data_ready, params.copy_overhead, op.nbytes))
-            self.stats[rank].send_time += sender_resume - now
+                data_ready = setup_done + delay + nbytes * params.gap_per_byte_dma
+            self._deliver(key, data_ready, params.copy_overhead)
+            stats.send_time += sender_resume - now
             return sender_resume
 
-        params_off = self._link_params(rank, op.dst)
-        if op.nbytes <= params_off.eager_limit:
-            sender_resume = now + params_off.overhead
-            base_ready = (
-                sender_resume + op.nbytes * params_off.gap_per_byte + params_off.latency
-            )
-            delay_src = self._bus_delay(rank, sender_resume, op.nbytes)
-            delay_link = self._link_delay(
-                rank, op.dst, sender_resume + delay_src,
-                op.nbytes * params_off.gap_per_byte,
-            )
-            delay_dst = self._bus_delay(
-                op.dst, base_ready + delay_src + delay_link, op.nbytes
-            )
-            data_ready = base_ready + delay_src + delay_link + delay_dst
-            self._deliver(key, _Delivered(data_ready, params_off.overhead, op.nbytes))
-            self.stats[rank].send_time += sender_resume - now
+        if nbytes <= params.eager_limit:
+            sender_resume = now + params.overhead
+            data_ready = self._payload_arrival(rank, dst, sender_resume, nbytes, params)
+            self._deliver(key, data_ready, params.overhead)
+            stats.send_time += sender_resume - now
             return sender_resume
 
         # Rendezvous: the sender blocks until the receiver has posted the
         # matching receive and the handshake completes.
-        pending_recv_queue = self._pending_recvs.get(key)
-        if pending_recv_queue:
-            pending = pending_recv_queue.popleft()
+        posted = self._pending_recvs.get(key)
+        if posted:
+            post_time = posted.popleft()
+            if not posted:
+                del self._pending_recvs[key]
             return self._complete_rendezvous(
-                rank, op.dst, op.tag, op.nbytes, send_init=now, recv_post=pending.post_time,
-                resume_receiver=True,
+                rank, dst, nbytes, params, send_init=now, recv_post=post_time
             )
-        self._pending_sends[key].append(_PendingRendezvous(rank, now, op.nbytes))
-        self._send_blocked_since[rank] = now
+        self._pending_sends[key].append((rank, now, nbytes, params))
         return None
 
     def _complete_rendezvous(
         self,
         sender: int,
         receiver: int,
-        tag: int,
         nbytes: float,
+        params: OffNodeParams,
         *,
         send_init: float,
         recv_post: float,
-        resume_receiver: bool,
     ) -> float:
         """Finish the timing of a rendezvous transfer.
 
-        Returns the sender's resume time.  When ``resume_receiver`` is True
-        the receiver is blocked in its ``Recv`` and is scheduled to resume
-        when the payload lands; otherwise the payload is placed in the
-        mailbox for a future ``Recv``.
+        The receiver is blocked in its ``Recv`` and is scheduled to resume
+        when the payload lands; returns the sender's resume time.
         """
-        params = self._link_params(sender, receiver)
         # Request-to-send reaches the receiver; the reply returns once the
         # receive has been posted (h = 2 (L + oh) when it already has been).
         request_arrives = send_init + params.overhead + params.latency
@@ -657,69 +697,55 @@ class SimulatedMachine:
         reply_arrives = reply_sent + params.latency + params.handshake_overhead
         sender_resume = reply_arrives
         transfer_start = reply_arrives + params.overhead
-        base_ready = transfer_start + nbytes * params.gap_per_byte + params.latency
-        delay_src = self._bus_delay(sender, transfer_start, nbytes)
-        delay_link = self._link_delay(
-            sender, receiver, transfer_start + delay_src,
-            nbytes * params.gap_per_byte,
-        )
-        delay_dst = self._bus_delay(
-            receiver, base_ready + delay_src + delay_link, nbytes
-        )
-        data_ready = base_ready + delay_src + delay_link + delay_dst
+        data_ready = self._payload_arrival(sender, receiver, transfer_start, nbytes, params)
 
-        blocked_since = self._send_blocked_since.pop(sender, send_init)
-        self.stats[sender].send_time += sender_resume - blocked_since
-
+        self.stats[sender].send_time += sender_resume - send_init
         recv_done = data_ready + params.overhead
-        if resume_receiver:
-            blocked = self._recv_blocked_since.pop(receiver, recv_post)
-            self.stats[receiver].recv_time += recv_done - blocked
-            self._schedule_advance(receiver, recv_done)
-        else:
-            key = (receiver, sender, tag)
-            self._deliver(key, _Delivered(data_ready, params.overhead, nbytes))
+        self.stats[receiver].recv_time += recv_done - recv_post
+        self._schedule(receiver, recv_done)
         return sender_resume
 
-    def _deliver(self, key: Tuple[int, int, int], message: _Delivered) -> None:
+    def _deliver(self, key: Tuple[int, int, int], data_ready: float, recv_cost: float) -> None:
         """Place a message in the destination mailbox, waking a blocked receiver."""
-        receiver = key[0]
-        pending = self._pending_recvs.get(key)
-        if pending:
-            record = pending.popleft()
-            resume = max(self.sim.now, message.data_ready) + message.recv_cost
-            blocked = self._recv_blocked_since.pop(receiver, record.post_time)
-            self.stats[receiver].recv_time += resume - blocked
-            self._schedule_advance(receiver, resume)
+        posted = self._pending_recvs.get(key)
+        if posted:
+            post_time = posted.popleft()
+            if not posted:
+                del self._pending_recvs[key]
+            receiver = key[0]
+            resume = max(self.now, data_ready) + recv_cost
+            self.stats[receiver].recv_time += resume - post_time
+            self._schedule(receiver, resume)
             return
-        self._mailbox[key].append(message)
+        self._mailbox[key].append((data_ready, recv_cost))
 
     # -- receive path --------------------------------------------------------------------
 
-    def _handle_recv(self, rank: int, op: Recv) -> Optional[float]:
-        if not 0 <= op.src < self.total_ranks:
-            raise SimulationError(f"receive from unknown rank {op.src}")
-        now = self.sim.now
-        key = (rank, op.src, op.tag)
+    def _handle_recv(self, rank: int, op: Recv, now: float) -> Optional[float]:
+        src = op.src
+        if not 0 <= src < self.total_ranks:
+            raise SimulationError(f"receive from unknown rank {src}")
+        key = (rank, src, op.tag)
 
         queue = self._mailbox.get(key)
         if queue:
-            message = queue.popleft()
-            resume = max(now, message.data_ready) + message.recv_cost
+            data_ready, recv_cost = queue.popleft()
+            if not queue:
+                del self._mailbox[key]
+            resume = max(now, data_ready) + recv_cost
             self.stats[rank].recv_time += resume - now
             return resume
 
-        pending_send_queue = self._pending_sends.get(key)
-        if pending_send_queue:
-            pending = pending_send_queue.popleft()
-            self._recv_blocked_since[rank] = now
+        waiting = self._pending_sends.get(key)
+        if waiting:
+            sender, send_init, nbytes, params = waiting.popleft()
+            if not waiting:
+                del self._pending_sends[key]
             sender_resume = self._complete_rendezvous(
-                pending.sender, rank, op.tag, pending.nbytes,
-                send_init=pending.send_init, recv_post=now, resume_receiver=True,
+                sender, rank, nbytes, params, send_init=send_init, recv_post=now
             )
-            self._schedule_advance(pending.sender, sender_resume)
+            self._schedule(sender, sender_resume)
             return None
 
-        self._pending_recvs[key].append(_PendingRecv(rank, now))
-        self._recv_blocked_since[rank] = now
+        self._pending_recvs[key].append(now)
         return None

@@ -3,21 +3,34 @@
 The only resource the paper's contention model cares about is each node's
 shared memory bus, which every DMA transfer between kernel memory and the
 NIC (off-node messages) or between the cores' memories (large on-chip
-messages) must cross.  :class:`FifoBus` serialises those transfers in
-first-come-first-served order; the extra queueing delay experienced by a
-transfer is the mechanistic counterpart of the ``I`` interference term of
-Table 6.
+messages) must cross.  :class:`FifoBus` serialises those transfers; the
+extra queueing delay experienced by a transfer is the mechanistic
+counterpart of the ``I`` interference term of Table 6.
+
+A bus grants transfers in the order :meth:`FifoBus.acquire` is *called*,
+not in the order of their request times: each grant is
+``max(next_free, request_time)``, where ``next_free`` is the end of the
+previous call's reservation.  The machine makes those calls while it
+processes the event that times a message, and some of them reserve the bus
+at a later instant: an eager message's destination bus at
+``base_ready + delay_src + delay_link``, and a rendezvous payload's buses
+from ``transfer_start`` on.  An early call for a late instant can therefore
+delay a later call for an earlier instant, or leave the bus idle before its
+own reservation, so queueing is not causal and a contended run can even
+finish sooner than an uncontended one.  ``acquire`` is the one place this
+rule lives; ROADMAP.md's open item on causal shared resources replaces it
+with grants in simulated-time order.
 
 A node may have several independent buses (Section 5.3's 16-core node with
 one bus per group of four cores); :class:`NodeResources` owns one
 :class:`FifoBus` per bus group and routes each core to its group's bus.
 
-:class:`LinkResources` extends the same FIFO mechanism to the *network*:
-one :class:`FifoBus` per directed node pair, so overlapping off-node
-payloads on a shared link serialise instead of the contention-free LogGP
-assumption.  It is opt-in (``link_contention`` on the simulator) because
-the paper's model - and therefore the conformance baseline - is
-contention-free off-node.
+:class:`LinkResources` extends the same mechanism to the *network*: one
+:class:`FifoBus` per directed node pair, so overlapping off-node payloads on
+a shared link serialise instead of the contention-free LogGP assumption.
+It is opt-in (``link_contention`` on the simulator) because the paper's
+model - and therefore the conformance baseline - is contention-free
+off-node.
 """
 
 from __future__ import annotations
@@ -33,9 +46,10 @@ class FifoBus:
     """A serially shared bus.
 
     ``acquire(request_time, duration)`` reserves the bus for ``duration``
-    starting no earlier than ``request_time`` and returns the *grant* time
-    (when the transfer actually starts).  The queueing delay is
-    ``grant - request_time``.
+    starting no earlier than ``request_time`` or the end of the previous
+    reservation, and returns the *grant* time (when the transfer actually
+    starts).  The queueing delay is ``grant - request_time``.  Reservations
+    are granted in call order (see the module docstring).
     """
 
     next_free: float = 0.0
@@ -52,11 +66,6 @@ class FifoBus:
         self.total_queue_delay += grant - request_time
         self.transfers += 1
         return grant
-
-    def queueing_delay(self, request_time: float, duration: float) -> float:
-        """Acquire the bus and return only the queueing delay incurred."""
-        grant = self.acquire(request_time, duration)
-        return grant - request_time
 
 
 @dataclass
@@ -106,7 +115,8 @@ class LinkResources:
     Each *directed* ``(src_node, dst_node)`` pair owns one
     :class:`FifoBus`; a payload transfer occupies its link for the
     payload's serialisation time, so overlapping messages between the same
-    node pair queue in FIFO order.  Links are created lazily on first use.
+    node pair queue, granted in call order like a bus.  Links are created
+    lazily on first use.
     """
 
     links: Dict[Tuple[int, int], FifoBus] = field(default_factory=dict)
@@ -117,12 +127,6 @@ class LinkResources:
         if link is None:
             link = self.links[key] = FifoBus()
         return link
-
-    def queueing_delay(
-        self, src_node: int, dst_node: int, request_time: float, duration: float
-    ) -> float:
-        """Reserve the directed link and return the queueing delay incurred."""
-        return self.link_for(src_node, dst_node).queueing_delay(request_time, duration)
 
     @property
     def total_queue_delay(self) -> float:

@@ -75,6 +75,8 @@ class TestSimulatorRecord:
                 "total_cores": int,
                 "grid": str,
                 "event_engine_s": (int, float),
+                "event_engine_events": int,
+                "event_engine_us_per_event": (int, float),
                 "aggregated_engine_s": (int, float),
                 "speedup": (int, float),
                 "relative_error": (int, float),
@@ -83,6 +85,14 @@ class TestSimulatorRecord:
             },
         )
         assert record["benchmark"] == "simulator_fastpath"
+
+    def test_event_engine_cost_per_event(self):
+        """The per-event cost is the event run's wall time over its events."""
+        record = _load("BENCH_simulator.json")
+        assert record["event_engine_events"] > 0
+        assert record["event_engine_us_per_event"] == pytest.approx(
+            record["event_engine_s"] / record["event_engine_events"] * 1e6, rel=1e-12
+        )
 
     def test_fastpath_speedup_contract(self):
         """The committed record still claims (at least) the >= 10x contract."""

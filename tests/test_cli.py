@@ -227,3 +227,36 @@ class TestJsonOutput:
         assert record["model_us"] > 0
         assert record["simulated_us"] > 0
         assert abs(record["relative_error"]) < 1.0
+
+
+class TestCampaignSpecErrors:
+    """A bad ``--spec FILE`` ends in a one-line exit, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("{not json", "not valid JSON"),
+            (
+                json.dumps(
+                    {
+                        "name": "legacy",
+                        "apps": ["lu-classA"],
+                        "platforms": ["cray-xt4"],
+                        "total_cores": [4],
+                        "compute_noise": 0.05,
+                    }
+                ),
+                'noise_models: ["sampled:0.05"]',
+            ),
+            (None, "No such file"),
+        ],
+        ids=["invalid-json", "retired-compute-noise", "missing-file"],
+    )
+    def test_campaign_run_spec_error_exits(self, tmp_path, text, message):
+        spec_file = tmp_path / "spec.json"
+        if text is not None:
+            spec_file.write_text(text, encoding="utf-8")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", "run", "--spec", str(spec_file),
+                  "--store", str(tmp_path / "store")])
+        assert message in str(excinfo.value.code)

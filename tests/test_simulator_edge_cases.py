@@ -46,7 +46,7 @@ class TestZeroByteMessages:
         assert stats.total_bytes == 0.0
 
     def test_negative_size_rejected(self, xt4_single):
-        from repro.simulator.engine import SimulationError
+        from repro.simulator import SimulationError
 
         machine = SimulatedMachine(xt4_single, 2, rank_to_node=[0, 1])
         machine.add_rank_program(0, iter([Send(dst=1, nbytes=-1, tag=0)]))

@@ -165,7 +165,7 @@ class TestEngineSelection:
         assert result.makespan_us > 0
 
     def test_max_events_limit_applies(self, problem, xt4_single):
-        from repro.simulator.engine import SimulationError
+        from repro.simulator import SimulationError
 
         with pytest.raises(SimulationError):
             simulate_wavefront(
@@ -178,7 +178,7 @@ class TestEngineSelection:
 
     def test_max_events_budget_covers_arithmetic_allreduce(self, problem, xt4_single):
         """The all-reduce group-advance steps count against the same budget."""
-        from repro.simulator.engine import SimulationError
+        from repro.simulator import SimulationError
 
         spec = chimaera(problem, iterations=1)
         full = simulate_wavefront(
@@ -196,7 +196,7 @@ class TestEngineSelection:
     def test_max_events_budget_covers_hybrid_phase(self, problem, xt4_single):
         """The hybrid non-wavefront sub-simulation consumes the same global
         budget, not a fresh one per iteration."""
-        from repro.simulator.engine import SimulationError
+        from repro.simulator import SimulationError
 
         spec = lu(problem, iterations=1)
         full = simulate_wavefront(

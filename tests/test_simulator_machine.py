@@ -7,6 +7,7 @@ posted.
 """
 
 import gc
+import itertools
 import weakref
 
 import pytest
@@ -17,13 +18,13 @@ from repro.core.comm import (
     total_comm_off_node,
     total_comm_on_chip,
 )
-from repro.simulator.engine import SimulationError
 from repro.simulator.machine import (
     Compute,
     Mark,
     Recv,
     Send,
     SimulatedMachine,
+    SimulationError,
     WaitBarrier,
     linear_node_assignment,
 )
@@ -35,6 +36,71 @@ def run_two_ranks(platform, program0, program1, rank_to_node=(0, 1), **kwargs):
     machine.add_rank_program(0, program0)
     machine.add_rank_program(1, program1)
     return machine, machine.run()
+
+
+def marking_machine(platform, programs):
+    """A machine whose ranks end with ``Mark(rank)``, and the marks it records.
+
+    ``programs`` maps each rank, in the order the programs are added, to
+    its operations; each mark is recorded as ``(rank, machine.now)``.
+    """
+    machine = SimulatedMachine(platform, len(programs), rank_to_node=list(range(len(programs))))
+    marks = []
+    for rank, ops in programs.items():
+        machine.on_mark(rank, 1, lambda time, rank=rank: marks.append((rank, machine.now)))
+        machine.add_rank_program(rank, iter([*ops, Mark(rank)]))
+    return machine, marks
+
+
+class TestEventLoop:
+    def test_events_run_in_time_order(self, xt4):
+        machine, marks = marking_machine(
+            xt4, {0: [Compute(5.0)], 1: [Compute(1.0)], 2: [Compute(9.0)]}
+        )
+        machine.run()
+        assert [rank for rank, _ in marks] == [1, 0, 2]
+        assert machine.now == 9.0
+
+    def test_ties_break_by_insertion_order(self, xt4):
+        """Equal times resume ranks in the order they were scheduled."""
+        machine, marks = marking_machine(
+            xt4, {2: [Compute(3.0)], 0: [Compute(3.0)], 1: [Compute(3.0)]}
+        )
+        machine.run()
+        assert [rank for rank, _ in marks] == [2, 0, 1]
+
+    def test_cannot_schedule_in_the_past(self, xt4):
+        machine = SimulatedMachine(xt4, 2)
+        machine.add_rank_program(0, iter([Compute(10.0)]))
+        machine.run()
+        machine.add_rank_program(1, iter([Compute(1.0)]), start_time=5.0)
+        with pytest.raises(SimulationError, match="in the past"):
+            machine.run()
+
+    def test_max_events_guard(self, xt4):
+        machine = SimulatedMachine(xt4, 1)
+        machine.add_rank_program(0, itertools.repeat(Compute(1.0)))
+        with pytest.raises(SimulationError, match="event limit of 100"):
+            machine.run(max_events=100)
+
+    def test_time_never_goes_backwards(self, xt4):
+        durations = (3.0, 1.0, 2.0, 2.0, 5.0)
+        machine = SimulatedMachine(xt4, len(durations))
+        observed = []
+        machine.on_mark("tick", 1, lambda time: observed.append(machine.now))
+        for rank, duration in enumerate(durations):
+            tick = [Compute(duration), Mark("tick")]
+            machine.add_rank_program(rank, iter(tick * 2))
+        machine.run()
+        assert len(observed) == 2 * len(durations)
+        assert observed == sorted(observed)
+
+    def test_events_processed_counter(self, xt4):
+        """One event per rank to start it, and one per compute that ends later."""
+        machine, _ = marking_machine(
+            xt4, {rank: [Compute(float(rank))] for rank in range(5)}
+        )
+        assert machine.run().events == 9
 
 
 class TestLinearNodeAssignment:
@@ -157,7 +223,7 @@ class TestBarriersAndMarks:
     def test_on_mark_callback_fires_at_count(self, xt4):
         machine = SimulatedMachine(xt4, 2)
         times = []
-        machine.on_mark("done", 2, lambda t: times.append(machine.sim.now))
+        machine.on_mark("done", 2, lambda t: times.append(machine.now))
         machine.add_rank_program(0, iter([Compute(1.0), Mark("done")]))
         machine.add_rank_program(1, iter([Compute(5.0), Mark("done")]))
         machine.run()

@@ -26,11 +26,6 @@ class TestFifoBus:
         assert grant == 100.0
         assert bus.total_queue_delay == 0.0
 
-    def test_queueing_delay_helper(self):
-        bus = FifoBus()
-        assert bus.queueing_delay(0.0, 3.0) == 0.0
-        assert bus.queueing_delay(0.0, 3.0) == pytest.approx(3.0)
-
     def test_statistics(self):
         bus = FifoBus()
         bus.acquire(0.0, 2.0)
