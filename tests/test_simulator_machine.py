@@ -18,6 +18,8 @@ from repro.core.comm import (
     total_comm_off_node,
     total_comm_on_chip,
 )
+from repro.core.faults import FaultModel
+from repro.core.hetero import SlowdownWindow, SpeedProfile
 from repro.simulator.machine import (
     Compute,
     Mark,
@@ -101,6 +103,62 @@ class TestEventLoop:
             xt4, {rank: [Compute(float(rank))] for rank in range(5)}
         )
         assert machine.run().events == 9
+
+    def test_resume_is_relative_to_now(self, xt4):
+        """A compute ends its duration after the instant it starts."""
+        machine = SimulatedMachine(xt4, 1)
+        marks = []
+        machine.on_mark("done", 1, lambda time: marks.append(machine.now))
+        machine.add_rank_program(
+            0, iter([Compute(5.0), Mark("done")]), start_time=10.0
+        )
+        machine.run()
+        assert marks == [15.0]
+
+    def test_events_scheduled_during_run_are_processed(self, xt4):
+        """A program's operations are drawn lazily, each as its rank resumes."""
+        seen = []
+
+        def chain():
+            for depth in range(6):
+                seen.append((depth, machine.now))
+                if depth < 5:
+                    yield Compute(1.0)
+
+        machine = SimulatedMachine(xt4, 1)
+        machine.add_rank_program(0, chain())
+        stats = machine.run()
+        assert seen == [(depth, float(depth)) for depth in range(6)]
+        assert machine.now == 5.0
+        assert stats.events == 6
+
+    @pytest.mark.parametrize(
+        "general",
+        [
+            pytest.param(
+                lambda platform: platform.with_speed_profile(
+                    SpeedProfile(windows=(SlowdownWindow(0.0, 1.0, 2.0),))
+                ),
+                id="slowdown-window",
+            ),
+            pytest.param(
+                lambda platform: platform.with_faults(FaultModel(mtbf_us=1e6)),
+                id="faults",
+            ),
+        ],
+    )
+    def test_negative_delay_rejected(self, xt4, general):
+        """The general compute handler rejects what the inline branch rejects."""
+        machine = SimulatedMachine(general(xt4), 1)
+        machine.add_rank_program(0, iter([Compute(-1.0)]))
+        with pytest.raises(SimulationError, match="negative compute duration"):
+            machine.run()
+
+    def test_run_with_no_programs_processes_nothing(self, xt4):
+        stats = SimulatedMachine(xt4, 2).run()
+        assert stats.events == 0
+        assert stats.makespan == 0.0
+        assert [rank.finish_time for rank in stats.ranks] == [0.0, 0.0]
 
 
 class TestLinearNodeAssignment:
