@@ -14,8 +14,8 @@ application and platform parameters, and provides:
 * the reusable Table 5 / Table 6 wavefront model (:mod:`repro.core`);
 * a discrete-event simulator of a wavefront run on an XT4-like machine that
   plays the role of the paper's measurements (:mod:`repro.simulator`);
-* real numpy wavefront kernels and a shared-memory executor for small-scale
-  correctness runs and work-rate calibration (:mod:`repro.kernels`);
+* real numpy wavefront kernels, with a threaded shared-memory driver, for
+  small-scale correctness runs and work-rate calibration (:mod:`repro.kernels`);
 * the Section 5 analyses - Htile optimisation, platform sizing, partitioning
   metrics, cores-per-node studies, bottleneck breakdowns and the pipelined
   energy-group redesign (:mod:`repro.analysis`);

@@ -17,7 +17,7 @@ One module per study:
   ablation.
 
 Every study accepts ``backend=`` (any registered prediction backend) and
-``workers=``/``executor=`` for pool fan-out, because they all evaluate
+``workers=`` for fan-out over worker processes, because they all evaluate
 through :func:`repro.backends.service.predict_many`:
 
 >>> from repro.analysis import strong_scaling

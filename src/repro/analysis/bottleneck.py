@@ -46,7 +46,6 @@ def cost_breakdown(
     *,
     backend: BackendSpec = "analytic-fast",
     workers: Optional[int] = None,
-    executor: str = "thread",
 ) -> list[BreakdownPoint]:
     """The Figure 11 curves: total, computation and communication time vs P.
 
@@ -66,7 +65,7 @@ def cost_breakdown(
         PredictionRequest(spec, platform, total_cores=count)
         for count in processor_counts
     ]
-    results = predict_many(requests, backend=backend, workers=workers, executor=executor)
+    results = predict_many(requests, backend=backend, workers=workers)
     points: list[BreakdownPoint] = []
     for count, result in zip(processor_counts, results):
         total_days = result.total_time_days

@@ -64,7 +64,6 @@ def decomposition_study(
     max_aspect_ratio: float | None = 64.0,
     backend: BackendSpec = "analytic-fast",
     workers: Optional[int] = None,
-    executor: str = "thread",
 ) -> List[DecompositionPoint]:
     """Evaluate the model for each candidate factorisation of ``total_processors``.
 
@@ -93,7 +92,7 @@ def decomposition_study(
     if not kept:
         raise ValueError("no factorisations left after filtering")
     requests = [PredictionRequest(spec, platform, grid=grid) for grid in kept]
-    results = predict_many(requests, backend=backend, workers=workers, executor=executor)
+    results = predict_many(requests, backend=backend, workers=workers)
     return [
         DecompositionPoint(
             grid=grid,

@@ -85,7 +85,6 @@ def htile_study(
     *,
     backend: BackendSpec = "analytic-fast",
     workers: Optional[int] = None,
-    executor: str = "thread",
 ) -> HtileStudy:
     """Sweep ``Htile`` for the application produced by ``spec_builder``.
 
@@ -93,8 +92,8 @@ def htile_study(
     that tile height (for Sweep3D this maps Htile back onto ``mk``; for
     Chimaera / custom codes it sets the blocking factor directly); it runs
     in the calling process.  ``backend`` selects the prediction engine and
-    ``workers``/``executor`` optionally fan the evaluations out over a pool
-    (see :func:`repro.backends.service.predict_many`).
+    ``workers`` optionally fans the evaluations out over that many worker
+    processes (see :func:`repro.backends.service.predict_many`).
 
     >>> from repro.apps.workloads import chimaera_240cubed
     >>> from repro.platforms import cray_xt4
@@ -113,9 +112,7 @@ def htile_study(
         htiles=tuple(htile_values),
         total_cores=(total_cores,),
     )
-    result = optimize(
-        space, strategy="exhaustive", backend=backend, workers=workers, executor=executor
-    )
+    result = optimize(space, strategy="exhaustive", backend=backend, workers=workers)
     by_htile = {point.point.htile: point.result for point in result.evaluated}
     return HtileStudy(
         application=result.evaluated[-1].result.spec.name,
@@ -136,7 +133,6 @@ def optimal_htile(
     backend: BackendSpec = "analytic-fast",
     strategy: StrategySpec = "exhaustive",
     workers: Optional[int] = None,
-    executor: str = "thread",
 ) -> float:
     """The Htile value minimising execution time over the given candidates.
 
@@ -162,9 +158,7 @@ def optimal_htile(
         htiles=tuple(htile_values),
         total_cores=(total_cores,),
     )
-    result = optimize(
-        space, strategy=strategy, backend=backend, workers=workers, executor=executor
-    )
+    result = optimize(space, strategy=strategy, backend=backend, workers=workers)
     htile = result.best.point.htile
     assert htile is not None  # the space always carries an htile axis
     return htile

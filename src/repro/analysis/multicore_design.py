@@ -56,14 +56,13 @@ def cores_per_node_study(
     buses_per_node: int = 1,
     backend: BackendSpec = "analytic-fast",
     workers: Optional[int] = None,
-    executor: str = "thread",
 ) -> list[MulticoreDesignPoint]:
     """Evaluate the Figure 10 design space.
 
     ``base_platform`` supplies the communication constants (typically the
     XT4); its node architecture is overridden per design point.
-    ``backend`` selects the prediction engine; ``workers``/``executor``
-    optionally fan the design points out over a pool.
+    ``backend`` selects the prediction engine; ``workers`` optionally fans
+    the design points out over that many worker processes.
 
     >>> from repro.apps.workloads import lu_class
     >>> from repro.platforms import cray_xt4
@@ -79,9 +78,7 @@ def cores_per_node_study(
         cores_per_node=tuple(cores_per_node_options),
         buses_per_node=buses_per_node,
     )
-    evaluated = optimize(
-        space, strategy="exhaustive", backend=backend, workers=workers, executor=executor
-    ).evaluated
+    evaluated = optimize(space, strategy="exhaustive", backend=backend, workers=workers).evaluated
     by_design = {(point.point.nodes, point.point.cores_per_node): point for point in evaluated}
     points = []
     for cores in cores_per_node_options:

@@ -65,14 +65,13 @@ def throughput_study(
     parallel_jobs_options: Sequence[int] = (1, 2, 4, 8),
     backend: BackendSpec = "analytic-fast",
     workers: Optional[int] = None,
-    executor: str = "thread",
 ) -> list[ThroughputPoint]:
     """The Figure 7 study: time steps per problem per month vs partitioning.
 
     The same partition size recurs across many ``total_cores`` entries; the
     batch service deduplicates the repeats and evaluates each distinct
-    partition once (on any ``backend``, optionally over a
-    ``workers``/``executor`` pool).  The monthly rate goes through
+    partition once (on any ``backend``, optionally over ``workers`` worker
+    processes).  The monthly rate goes through
     :func:`repro.util.units.rate_per_month`, so a degenerate zero-time
     prediction raises instead of dividing by zero.
 
@@ -93,7 +92,7 @@ def throughput_study(
         PredictionRequest(spec, platform, total_cores=total_cores // jobs)
         for total_cores, jobs in combos
     ]
-    results = predict_many(requests, backend=backend, workers=workers, executor=executor)
+    results = predict_many(requests, backend=backend, workers=workers)
     points = []
     for (total_cores, jobs), result in zip(combos, results):
         step_time = _time_per_time_step_s(result)
@@ -141,7 +140,6 @@ def partition_tradeoff(
     *,
     backend: BackendSpec = "analytic-fast",
     workers: Optional[int] = None,
-    executor: str = "thread",
 ) -> list[PartitionTradeoffPoint]:
     """Evaluate ``R/X`` and ``R^2/X`` for each candidate partition size.
 
@@ -161,7 +159,7 @@ def partition_tradeoff(
     requests = [
         PredictionRequest(spec, platform, total_cores=partition) for partition in valid
     ]
-    results = predict_many(requests, backend=backend, workers=workers, executor=executor)
+    results = predict_many(requests, backend=backend, workers=workers)
     points = []
     for partition, result in zip(valid, results):
         jobs = available_cores // partition
@@ -220,7 +218,6 @@ def optimal_parallel_jobs(
     min_partition_cores: int = 1024,
     backend: BackendSpec = "analytic-fast",
     workers: Optional[int] = None,
-    executor: str = "thread",
 ) -> PartitionTradeoffPoint:
     """The Figure 9 quantity: the best number of parallel simulations.
 
@@ -247,7 +244,6 @@ def optimal_parallel_jobs(
         sizes,
         backend=backend,
         workers=workers,
-        executor=executor,
     )
     # Post-fan-out reduction on the caller; the lambda never crosses the
     # process-pool boundary (RPR003 audit, PR 6).

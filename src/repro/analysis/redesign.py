@@ -106,7 +106,6 @@ def energy_group_redesign_study(
     extra_iteration_factor: float = 1.0,
     backend: BackendSpec = "analytic-fast",
     workers: Optional[int] = None,
-    executor: str = "thread",
 ) -> list[RedesignPoint]:
     """The Figure 12 study: sequential vs pipelined energy groups, weak scaling.
 
@@ -138,7 +137,7 @@ def energy_group_redesign_study(
         )
         requests.append(PredictionRequest(sequential, platform, grid=grid))
         requests.append(PredictionRequest(pipelined, platform, grid=grid))
-    results = predict_many(requests, backend=backend, workers=workers, executor=executor)
+    results = predict_many(requests, backend=backend, workers=workers)
     points: list[RedesignPoint] = []
     for index, count in enumerate(processor_counts):
         seq_result = results[2 * index]

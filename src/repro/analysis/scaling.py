@@ -101,16 +101,14 @@ def strong_scaling(
     *,
     backend: BackendSpec = "analytic-fast",
     workers: Optional[int] = None,
-    executor: str = "thread",
 ) -> ScalingCurve:
     """Fixed problem, growing machine (the Figure 6 study).
 
     ``backend`` selects the prediction engine (any registered backend, e.g.
     ``"simulator"`` to measure the curve instead of modelling it).
-    ``workers``/``executor`` optionally fan the processor counts out over a
-    pool (``executor="process"`` uses multiple cores - see
-    :func:`repro.backends.service.predict_many`); the curve's point order
-    always follows ``processor_counts``.
+    ``workers`` optionally fans the processor counts out over that many
+    worker processes (see :func:`repro.backends.service.predict_many`); the
+    curve's point order always follows ``processor_counts``.
 
     >>> from repro.apps.workloads import lu_class
     >>> from repro.platforms import cray_xt4
@@ -126,7 +124,7 @@ def strong_scaling(
         PredictionRequest(spec, platform, total_cores=count)
         for count in processor_counts
     ]
-    results = predict_many(requests, backend=backend, workers=workers, executor=executor)
+    results = predict_many(requests, backend=backend, workers=workers)
     return ScalingCurve(
         application=spec.name,
         platform=platform.name,
@@ -142,7 +140,6 @@ def weak_scaling(
     *,
     backend: BackendSpec = "analytic-fast",
     workers: Optional[int] = None,
-    executor: str = "thread",
 ) -> ScalingCurve:
     """Fixed per-processor subdomain, growing machine (the Figure 12 setup).
 
@@ -166,7 +163,7 @@ def weak_scaling(
     for count in processor_counts:
         grid = decompose(count)
         requests.append(PredictionRequest(spec_builder(grid), platform, grid=grid))
-    results = predict_many(requests, backend=backend, workers=workers, executor=executor)
+    results = predict_many(requests, backend=backend, workers=workers)
     return ScalingCurve(
         application=requests[-1].spec.name,
         platform=platform.name,

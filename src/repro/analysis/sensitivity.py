@@ -161,13 +161,12 @@ def sensitivity_study(
     application_parameters: Sequence[str] = APPLICATION_PARAMETERS,
     backend: BackendSpec = "analytic-fast",
     workers: Optional[int] = None,
-    executor: str = "thread",
 ) -> Dict[str, SensitivityResult]:
     """Perturb each parameter by ``factor`` and report the time elasticity.
 
     The baseline and every perturbation go through one
     :func:`~repro.backends.service.predict_many` batch on ``backend``;
-    ``workers``/``executor`` optionally evaluate them on a pool.
+    ``workers`` optionally evaluates them over that many worker processes.
 
     >>> from repro.apps.workloads import lu_class
     >>> from repro.platforms import cray_xt4
@@ -196,7 +195,7 @@ def sensitivity_study(
                     total_cores=total_cores,
                 )
             )
-    results = predict_many(requests, backend=backend, workers=workers, executor=executor)
+    results = predict_many(requests, backend=backend, workers=workers)
     baseline = results[0].time_per_iteration_us
     return {
         parameter: SensitivityResult(

@@ -31,7 +31,7 @@ that comparison (and any future engine) interchangeable:
         from repro.backends import register_backend
         from repro.backends.analytic import AnalyticBackend
 
-        register_backend("analytic-auto", lambda: AnalyticBackend(method="auto"))
+        register_backend("reference", lambda: AnalyticBackend(method="exact"))
 
     Any object implementing the protocol may also be passed directly as a
     ``backend=`` argument (e.g. a configured ``SimulatorBackend(iterations=3,
@@ -40,8 +40,8 @@ that comparison (and any future engine) interchangeable:
 **Batch service** (:mod:`repro.backends.service`)
     :func:`predict_many` evaluates a list of
     :class:`PredictionRequest` objects on one backend, fusing request
-    deduplication, the simulator's result cache and optional
-    process/thread-pool fan-out.  Backends that additionally implement the
+    deduplication, the simulator's result cache and optional fan-out over
+    ``workers`` worker processes.  Backends that additionally implement the
     optional :class:`BatchPredictionBackend` protocol (``evaluate_batch``,
     e.g. the analytic backends) receive whole deduplicated batches in one
     call.

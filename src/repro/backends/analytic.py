@@ -51,8 +51,8 @@ _Config = Tuple[WavefrontSpec, Platform, ProcessorGrid, CoreMapping]
 class AnalyticBackend:
     """The plug-and-play model as a batch :class:`PredictionBackend`.
 
-    ``method`` selects the ``StartP`` evaluator (``"auto"``/``"fast"``/
-    ``"exact"``, see :func:`repro.core.model.fill_times`).
+    ``method`` selects the ``StartP`` evaluator (``"fast"`` or ``"exact"``,
+    see :func:`repro.core.model.fill_times`).
 
     >>> AnalyticBackend(method="exact").name
     'analytic-exact'
@@ -73,7 +73,7 @@ class AnalyticBackend:
 
     @property
     def name(self) -> str:
-        return f"analytic-{'fast' if self.method == 'auto' else self.method}"
+        return f"analytic-{self.method}"
 
     def evaluate(
         self,

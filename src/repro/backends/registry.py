@@ -7,10 +7,10 @@ registered lazily on first use, with ``analytic-vec`` as a second spelling of
 
 >>> from repro.backends import register_backend, get_backend
 >>> from repro.backends.analytic import AnalyticBackend
->>> register_backend("analytic-auto", lambda: AnalyticBackend(method="auto"),
+>>> register_backend("reference", lambda: AnalyticBackend(method="exact"),
 ...                  replace=True)
->>> get_backend("analytic-auto").method
-'auto'
+>>> get_backend("reference").method
+'exact'
 
 Everywhere the library accepts a ``backend=`` argument it resolves it with
 :func:`get_backend`, so both registered names and ad-hoc backend instances

@@ -11,9 +11,8 @@ fuses four mechanisms:
   configuration, so repeated simulations *across* calls are free (within a
   process);
 * **parallel fan-out** - for backends without ``evaluate_batch``, distinct
-  configurations are mapped over an optional ``concurrent.futures`` pool
-  (``executor="process"`` for the pure-Python simulator, which holds the
-  GIL).
+  configurations are mapped over ``workers`` worker processes (the
+  pure-Python simulator holds the GIL, so only processes use more cores).
 
 >>> from repro.apps.workloads import lu_class
 >>> from repro.platforms import cray_xt4
@@ -76,7 +75,6 @@ def predict_many(
     *,
     backend: BackendSpec = "analytic-fast",
     workers: Optional[int] = None,
-    executor: str = "thread",
 ) -> List[BackendResult]:
     """Evaluate every request on ``backend``, returning results in order.
 
@@ -88,12 +86,11 @@ def predict_many(
     implementing the optional batch protocol
     (:class:`~repro.backends.base.BatchPredictionBackend`, e.g. the analytic
     ones) receive the distinct configurations in one ``evaluate_batch``
-    call - ``workers``/``executor`` are irrelevant there (the batch already
-    amortises the per-point overhead).  Other backends fan the distinct
-    configurations out over an optional pool (see
-    :func:`repro.util.sweep.parallel_map`); with ``executor="process"`` the
-    per-process caches start cold, so prefer threads when the request list
-    is dominated by duplicates.
+    call - ``workers`` is irrelevant there (the batch already amortises the
+    per-point overhead).  Other backends evaluate serially, or with
+    ``workers=N`` (N > 1) fan the distinct configurations out over N worker
+    processes (see :func:`repro.util.sweep.parallel_map`), whose results
+    are not memoised in the calling process.
 
     >>> from repro.apps.workloads import lu_class
     >>> from repro.platforms import cray_xt4
@@ -127,9 +124,7 @@ def predict_many(
                 f"for a batch of {len(distinct)} configurations"
             )
     else:
-        results = parallel_map(
-            partial(_evaluate_resolved, backend_obj), distinct, workers, executor
-        )
+        results = parallel_map(partial(_evaluate_resolved, backend_obj), distinct, workers)
     return [results[position] for position in positions]
 
 

@@ -66,7 +66,8 @@ _OUTPUTS = (
     "figure5_htile.csv",
 )
 
-#: A stored record, which the analysis gives its ``"scenario"`` cell.
+#: A stored record, which the analysis gives its scenario: the field values
+#: under ``"scenario_fields"`` and their rendered cell under ``"scenario"``.
 Record = dict[str, Any]
 #: A validation pairing: candidate record, baseline record, their diff.
 Pair = tuple[Record, Record, ValidationResult]
@@ -74,12 +75,10 @@ Pair = tuple[Record, Record, ValidationResult]
 Curve = tuple[tuple, list[Record]]
 
 
-def _scenario_cell(point: dict[str, Any]) -> str:
-    """Compact ``field=value`` rendering of a point's scenario ("-" if none)."""
+def _scenario_cell(fields: tuple) -> str:
+    """Compact ``field=value`` rendering of a scenario ("-" if none)."""
     parts = [
-        f"{name}={point[name]}"
-        for name in _SCENARIO_FIELDS
-        if point.get(name) is not None
+        f"{name}={value}" for name, value in zip(_SCENARIO_FIELDS, fields) if value is not None
     ]
     return " ".join(parts) if parts else "-"
 
@@ -109,7 +108,7 @@ def _blank(value: object) -> object:
     return "" if value is None or value == "-" else value
 
 
-def _config_key(point: dict[str, Any]) -> tuple:
+def _config_key(record: Record) -> tuple:
     """What identifies a configuration across backends (for error pairing).
 
     Deliberately seed-agnostic: a deterministic candidate (no seed) must
@@ -118,12 +117,13 @@ def _config_key(point: dict[str, Any]) -> tuple:
     straggler prediction is only comparable to the straggler measurement,
     and a fault model's prediction only to that fault model's measurement.
     """
+    point = record["point"]
     return (
         point["app"],
         point["platform"],
         point["total_cores"],
         point.get("htile"),
-    ) + tuple(point.get(name) for name in _SCENARIO_FIELDS)
+    ) + record["scenario_fields"]
 
 
 def _resolve_baseline(
@@ -151,13 +151,13 @@ def _validation_pairs(records: list[Record], baseline: str) -> list[Pair]:
     baselines: dict[tuple, list[Record]] = {}
     for record in records:
         if record["point"]["backend"] == baseline:
-            baselines.setdefault(_config_key(record["point"]), []).append(record)
+            baselines.setdefault(_config_key(record), []).append(record)
     pairs: list[Pair] = []
     for record in records:
         point, result = record["point"], record["result"]
         if point["backend"] == baseline:
             continue
-        for measured in baselines.get(_config_key(point), []):
+        for measured in baselines.get(_config_key(record), []):
             diff = ValidationResult(
                 application=result["application"],
                 platform=result["platform"],
@@ -189,8 +189,8 @@ def _pair_seeds(record: Record, measured: Record) -> tuple[Optional[int], ...]:
 
 
 def _curve_groups(records: list[Record], axis: str, held: tuple[str, ...]) -> list[Curve]:
-    """Group records by ``held`` point fields, keeping groups where ``axis``
-    takes >= 2 distinct values.
+    """Group records by ``held`` point fields and their scenario, keeping
+    groups where ``axis`` takes >= 2 distinct values.
 
     ``records`` come in report order, where the axis is the first sort
     field the held ones leave free, so each group is already sorted along
@@ -199,7 +199,8 @@ def _curve_groups(records: list[Record], axis: str, held: tuple[str, ...]) -> li
     groups: dict[tuple, list[Record]] = {}
     for record in records:
         point = record["point"]
-        groups.setdefault(tuple([point.get(name) for name in held]), []).append(record)
+        key = tuple([point.get(name) for name in held]) + record["scenario_fields"]
+        groups.setdefault(key, []).append(record)
     return [
         (key, members)
         for key, members in sorted(groups.items(), key=lambda item: tuple(map(str, item[0])))
@@ -249,8 +250,8 @@ def _optima_groups(records: list[Record]) -> list[tuple[tuple, Record, int]]:
 class _Analysis:
     """One read of a store, sorted and grouped once for every output.
 
-    Each record carries its rendered scenario cell under ``"scenario"``.
-    ``missing`` of the spec's ``points`` match no stored record's point.
+    Each record carries its scenario (see :data:`Record`).  ``missing`` of
+    the spec's ``points`` match no stored record's point.
     ``seeded`` says, per :data:`_SEED_FIELDS` entry, whether any record
     carries that seed.
     """
@@ -284,17 +285,25 @@ def _stored_spec(store: ResultStore) -> Optional[CampaignSpec]:
 def _analyse(store: ResultStore) -> _Analysis:
     spec = _stored_spec(store)
     records = list(store.records())
+    # Each stored point is parsed once, and its scenario read from the
+    # parsed point: a v2 record's retired compute_noise amplitude is its
+    # noise model.  Records with the same scenario share one tuple and cell.
+    parsed = [CampaignPoint.from_dict(record["point"]) for record in records]
     missing = points = 0
     if spec is not None:
         spec_points = spec.points()
         points = len(spec_points)
         # Match points by value, not by content key: a key is a sha256 of
         # the same fields, and the runner has already hashed these points.
-        stored = {CampaignPoint.from_dict(record["point"]) for record in records}
+        stored = set(parsed)
         missing = sum(1 for point in spec_points if point not in stored)
 
-    for record in records:
-        record["scenario"] = _scenario_cell(record["point"])
+    scenarios: dict[tuple, tuple[tuple, str]] = {}
+    for record, point in zip(records, parsed):
+        fields = tuple([getattr(point, name) for name in _SCENARIO_FIELDS])
+        if fields not in scenarios:
+            scenarios[fields] = (fields, _scenario_cell(fields))
+        record["scenario_fields"], record["scenario"] = scenarios[fields]
     records.sort(key=_sort_key)
 
     baseline = _resolve_baseline(spec, records)
@@ -313,12 +322,12 @@ def _analyse(store: ResultStore) -> _Analysis:
         scaling=_curve_groups(
             records,
             "total_cores",
-            ("app", "platform", "backend", "htile") + _SEED_FIELDS + _SCENARIO_FIELDS,
+            ("app", "platform", "backend", "htile") + _SEED_FIELDS,
         ),
         htile_sweeps=_curve_groups(
             [r for r in records if r["point"].get("htile") is not None],
             "htile",
-            ("app", "platform", "backend", "total_cores") + _SEED_FIELDS + _SCENARIO_FIELDS,
+            ("app", "platform", "backend", "total_cores") + _SEED_FIELDS,
         ),
         optima=_optima_groups(records),
     )

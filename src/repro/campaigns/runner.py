@@ -123,7 +123,6 @@ def _compute_into(
     pending: Sequence[tuple[str, CampaignPoint]],
     *,
     workers: Optional[int],
-    executor: str,
     batch_size: int,
 ) -> None:
     """Evaluate ``(key, point)`` pairs and persist them into ``store``, chunk by chunk.
@@ -151,7 +150,6 @@ def _compute_into(
                 [requests[index] for index in chunk],
                 backend=backend,
                 workers=workers,
-                executor=executor,
             )
             store.put_many(
                 (pending[index][0], result_record(pending[index][1], result))
@@ -163,7 +161,6 @@ def _shard_worker(
     scratch_path: str,
     keyed_points: list[tuple[str, dict[str, Any]]],
     workers: Optional[int],
-    executor: str,
     batch_size: int,
 ) -> None:
     """Entry point of one ``--shards`` worker process.
@@ -180,20 +177,18 @@ def _shard_worker(
         for key, data in keyed_points
         if key not in scratch
     ]
-    _compute_into(
-        scratch, pending, workers=workers, executor=executor, batch_size=batch_size
-    )
+    _compute_into(scratch, pending, workers=workers, batch_size=batch_size)
     scratch.close()
 
 
 class CampaignRunner:
     """Execute a :class:`CampaignSpec` against a persistent result store.
 
-    ``workers``/``executor`` are passed straight to
-    :func:`repro.backends.service.predict_many` for pool fan-out of each
-    backend batch; ``shards`` additionally partitions the pending points
-    across that many worker *processes*, each with its own scratch store
-    merged on completion.  ``batch_size`` bounds how many results ride in
+    ``workers`` is passed straight to
+    :func:`repro.backends.service.predict_many`, which fans each backend
+    batch out over that many worker processes; ``shards`` instead partitions
+    the pending points across that many long-lived processes, each with its
+    own scratch store merged on completion.  ``batch_size`` bounds how many results ride in
     one group commit.
     """
 
@@ -203,7 +198,6 @@ class CampaignRunner:
         store: Optional[Union[str, Path, ResultStore]] = None,
         *,
         workers: Optional[int] = None,
-        executor: str = "thread",
         shards: Optional[int] = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
     ):
@@ -214,7 +208,6 @@ class CampaignRunner:
         self.spec = spec
         self.store = as_store(store if store is not None else default_store_path(spec.name))
         self.workers = workers
-        self.executor = executor
         self.shards = shards or 1
         self.batch_size = batch_size
 
@@ -254,7 +247,6 @@ class CampaignRunner:
                 self.store,
                 pending,
                 workers=self.workers,
-                executor=self.executor,
                 batch_size=self.batch_size,
             )
 
@@ -304,7 +296,6 @@ class CampaignRunner:
                     str(self._scratch_path(shard)),
                     partition,
                     self.workers,
-                    self.executor,
                     self.batch_size,
                 ),
                 name=f"campaign-shard-{shard}",
@@ -337,7 +328,6 @@ def run_campaign(
     *,
     store: Optional[Union[str, Path, ResultStore]] = None,
     workers: Optional[int] = None,
-    executor: str = "thread",
     shards: Optional[int] = None,
     batch_size: int = DEFAULT_BATCH_SIZE,
     resume: bool = False,
@@ -351,7 +341,6 @@ def run_campaign(
         spec,
         store,
         workers=workers,
-        executor=executor,
         shards=shards,
         batch_size=batch_size,
     )

@@ -92,7 +92,7 @@ def _resolve_backend(args: argparse.Namespace) -> str:
     """The prediction backend to use: ``--backend``, or the ``--method`` alias."""
     if getattr(args, "backend", None):
         return args.backend
-    if getattr(args, "method", "auto") == "exact":
+    if getattr(args, "method", "fast") == "exact":
         return "analytic-exact"
     return "analytic-fast"
 
@@ -226,7 +226,6 @@ def _cmd_htile(args: argparse.Namespace) -> int:
         args.values,
         backend=_resolve_backend(args),
         workers=args.workers,
-        executor=args.executor,
     )
     table = Table(
         ["Htile", "time/time-step (s)", "fill fraction", "comm fraction"],
@@ -282,7 +281,6 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
             backend=_resolve_backend(args),
             objective=args.objective,
             workers=args.workers,
-            executor=args.executor,
         )
     except (KeyError, ValueError) as exc:
         raise SystemExit(str(exc.args[0] if exc.args else exc)) from exc
@@ -320,7 +318,6 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
         args.cores,
         backend=_resolve_backend(args),
         workers=args.workers,
-        executor=args.executor,
     )
     table = Table(
         ["P", "total time (days)", "time/time-step (s)", "comm fraction"],
@@ -375,7 +372,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         spec,
         store,
         workers=args.workers,
-        executor=args.executor,
         shards=args.shards,
     )
     summary = runner.run(resume=args.resume)
@@ -637,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_predict.add_argument(
         "--method",
         choices=FILL_METHODS,
-        default="auto",
+        default="fast",
         help="StartP evaluator: fast closed-form/period-folded path or the exact "
         "grid walk (alias for --backend analytic-fast / analytic-exact)",
     )
@@ -664,15 +660,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--workers",
             type=int,
             default=None,
-            help="pool size for the sweep (omitted: run serially)",
-        )
-        p.add_argument(
-            "--executor",
-            choices=("process", "thread"),
-            default="process",
-            help="pool kind used when --workers is given; processes use "
-            "multiple cores (pure-Python model evaluation holds the GIL, "
-            "so threads give no speedup)",
+            help="worker processes for the sweep (omitted: run serially)",
         )
 
     add_pool_flags(p_htile)

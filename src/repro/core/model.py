@@ -54,10 +54,10 @@ identical results possible:
   term) and falls back to the exact walk whenever the grid is too small to
   fold or the check fails.
 
-``fill_times`` selects the evaluator automatically (``method="auto"``);
-``method="exact"`` forces the reference recurrence, which the tests use to
-cross-check the fast path across a randomised matrix of applications,
-platforms, grids and core mappings.
+With ``method="fast"`` (the default) ``fill_times`` selects between these
+evaluators automatically; ``method="exact"`` forces the reference
+recurrence, which the tests use to cross-check the fast path across a
+randomised matrix of applications, platforms, grids and core mappings.
 
 Heterogeneous platforms
 -----------------------
@@ -102,7 +102,7 @@ __all__ = [
 ]
 
 #: Valid ``method`` arguments of :func:`fill_times` / :func:`predict`.
-FILL_METHODS: tuple[str, ...] = ("auto", "fast", "exact")
+FILL_METHODS: tuple[str, ...] = ("fast", "exact")
 
 #: Number of cost periods kept on each side of the folded grid.  Empirically
 #: the recurrence enters its linear regime well within two periods; six gives
@@ -527,7 +527,7 @@ def fill_times(
     grid: ProcessorGrid,
     core_mapping: CoreMapping | None = None,
     *,
-    method: str = "auto",
+    method: str = "fast",
 ) -> FillTimes:
     """Evaluate the ``StartP`` recurrence (equations (r2a)-(r3b)).
 
@@ -537,7 +537,7 @@ def fill_times(
     multi-core platforms the per-position communication costs follow the
     Table 6 on-chip/off-node classification.
 
-    ``method`` selects the evaluator: ``"auto"``/``"fast"`` use the
+    ``method`` selects the evaluator: ``"fast"`` uses the
     closed form on mappings one core wide (``Cx = 1``: single-core nodes,
     1xCy nodes such as the dual-core XT4's) and the period fold, with an
     automatic fallback to the exact walk, on wider ones; ``"exact"`` always
@@ -608,7 +608,7 @@ def iteration_prediction(
     grid: ProcessorGrid,
     core_mapping: CoreMapping | None = None,
     *,
-    method: str = "auto",
+    method: str = "fast",
 ) -> IterationPrediction:
     """Evaluate the full Table 5 / Table 6 model for one iteration.
 

@@ -163,7 +163,7 @@ def predict(
     total_cores: Optional[int] = None,
     grid: Optional[ProcessorGrid] = None,
     core_mapping: Optional[CoreMapping] = None,
-    method: str = "auto",
+    method: str = "fast",
 ) -> Prediction:
     """Predict the execution time of ``spec`` on ``platform``.
 
@@ -175,7 +175,7 @@ def predict(
     cores occupy; by default the paper's mapping for the platform's
     ``cores_per_node`` is used (1x2 for dual-core, 2x2 for quad-core, ...).
 
-    ``method`` selects the ``StartP`` evaluator - ``"auto"``/``"fast"`` for
+    ``method`` selects the ``StartP`` evaluator - ``"fast"`` for
     the closed-form/period-folded fast path, ``"exact"`` for the reference
     grid walk (see :func:`repro.core.model.fill_times`).  Results are
     memoised on ``(spec, platform, grid, core_mapping, method)``.

@@ -1,15 +1,11 @@
 """RPR003 - process-pool boundaries need picklable, module-level callables.
 
-``parallel_map`` / ``ParameterSweep.run`` / ``predict_many`` all accept ``executor="process"``, which ships their
-callable arguments to a :class:`~concurrent.futures.ProcessPoolExecutor`.
+``parallel_map`` and ``predict_many`` ship their callable arguments to a
+:class:`~concurrent.futures.ProcessPoolExecutor` whenever ``workers`` > 1.
 Lambdas and functions defined inside another function cannot be pickled -
-the failure appears only on the process-pool path, typically in a user's
-long campaign rather than in the (thread-pooled) test suite.  The fix is
-the idiom PR 1 established: a module-level helper, partially applied with
-:func:`functools.partial`.
-
-A call that pins ``executor="thread"`` literally is exempt - thread pools
-share the interpreter and accept closures.
+the failure appears only on the pool path, typically in a user's long
+campaign rather than in the (mostly serial) test suite.  The fix is a
+module-level helper, partially applied with :func:`functools.partial`.
 """
 
 from __future__ import annotations
@@ -26,33 +22,10 @@ __all__ = ["PicklableCallableRule"]
 #: Callables whose arguments can cross a process-pool boundary.
 _TARGET_FUNCTIONS = {"parallel_map", "predict_many"}
 
-#: Attribute calls treated as sweep fan-out when they carry pool kwargs
-#: (``ParameterSweep.run(fn, workers=..., executor=...)``).
-_TARGET_METHODS = {"run"}
-_POOL_KEYWORDS = {"workers", "executor"}
-
 
 def _is_target_call(node: ast.Call) -> bool:
-    func = node.func
-    name = dotted_name(func)
-    last = name.rsplit(".", 1)[-1] if name else None
-    if last in _TARGET_FUNCTIONS:
-        return True
-    if (
-        isinstance(func, ast.Attribute)
-        and func.attr in _TARGET_METHODS
-        and any(kw.arg in _POOL_KEYWORDS for kw in node.keywords)
-    ):
-        return True
-    return False
-
-
-def _pins_thread_executor(node: ast.Call) -> bool:
-    for keyword in node.keywords:
-        if keyword.arg == "executor":
-            value = keyword.value
-            return isinstance(value, ast.Constant) and value.value == "thread"
-    return False
+    name = dotted_name(node.func)
+    return name is not None and name.rsplit(".", 1)[-1] in _TARGET_FUNCTIONS
 
 
 @register_rule
@@ -87,8 +60,7 @@ class PicklableCallableRule(ModuleRule):
                 if isinstance(target, ast.Name):
                     scopes[-1].add(target.id)
         if isinstance(node, ast.Call) and _is_target_call(node):
-            if not _pins_thread_executor(node):
-                findings.extend(self._check_arguments(module, node, scopes))
+            findings.extend(self._check_arguments(module, node, scopes))
         for child in ast.iter_child_nodes(node):
             self._visit_node(module, child, scopes, findings)
 

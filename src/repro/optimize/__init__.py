@@ -88,14 +88,13 @@ def optimize(
     backend: BackendSpec = "analytic-fast",
     objective: str = "time",
     workers: Optional[int] = None,
-    executor: str = "thread",
 ) -> OptimizationResult:
     """Search ``space`` for the configuration minimising ``objective``.
 
     ``strategy`` is a registered name (:func:`available_strategies`) or a
     :class:`SearchStrategy` instance; ``backend`` any registered prediction
-    backend; ``objective`` one of :data:`OBJECTIVES`.  ``workers`` /
-    ``executor`` fan each evaluation batch out over a pool (see
+    backend; ``objective`` one of :data:`OBJECTIVES`.  ``workers`` fans each
+    evaluation batch out over that many worker processes (see
     :func:`repro.backends.service.predict_many`).
 
     The returned result's ``best`` is the optimum over *everything* the
@@ -105,7 +104,7 @@ def optimize(
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
     resolved = get_strategy(strategy)
-    evaluator = Evaluator(space, backend=backend, workers=workers, executor=executor)
+    evaluator = Evaluator(space, backend=backend, workers=workers)
     resolved.search(space, evaluator, objective)
     return OptimizationResult(
         strategy=resolved.name,

@@ -74,12 +74,10 @@ class Evaluator:
         *,
         backend: BackendSpec = "analytic-fast",
         workers: Optional[int] = None,
-        executor: str = "thread",
     ):
         self.space = space
         self.backend = backend
         self.workers = workers
-        self.executor = executor
         self.evaluations = 0
         self._memo: Dict[DesignPoint, EvaluatedPoint] = {}  # repro: noqa[RPR002] lifetime bounded by one optimize() run; the Evaluator is never reused
         self._order: List[EvaluatedPoint] = []
@@ -101,7 +99,6 @@ class Evaluator:
                 [self.space.request_for(point) for point in fresh],
                 backend=self.backend,
                 workers=self.workers,
-                executor=self.executor,
             )
             for point, result in zip(fresh, results):
                 evaluated = EvaluatedPoint(point, result)

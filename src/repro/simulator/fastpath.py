@@ -34,12 +34,17 @@ Multi-core mappings (heterogeneous on-chip/off-node costs plus bus
 contention) and noisy runs fall back to the event engine automatically; see
 :func:`aggregation_unsupported_reason`.
 
-The non-wavefront phase (all-reduces, LU's stencil halo exchange) is a
-negligible fraction of the events but has data-dependent communication
-patterns, so it is executed on the real event machine, started from the
-per-rank sweep-completion times (``start_time`` support in
-:meth:`SimulatedMachine.add_rank_program`) - the hybrid stays exact for
-every :class:`~repro.apps.base.NonWavefrontModel` strategy.
+The non-wavefront phase is priced in one of two ways.  All-reduces
+(:class:`~repro.apps.base.AllReduceNonWavefront`, as in Chimaera and
+Sweep3D) are advanced arithmetically by :func:`_advance_allreduce`, an
+operation-by-operation copy of
+:func:`repro.simulator.collectives.allreduce_ops`, so no event machine
+starts.  Only stencil and custom strategies (LU's halo exchange) have
+data-dependent communication patterns; they run on a hybrid
+:class:`SimulatedMachine`, one per iteration, started from the per-rank
+sweep-completion times (``start_time`` support in
+:meth:`SimulatedMachine.add_rank_program`).  Both stay exact for every
+:class:`~repro.apps.base.NonWavefrontModel` strategy.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Shared utilities: unit conversions, table rendering, parameter sweeps.
+"""Shared utilities: unit conversions, table rendering, sweep axes.
 
 These helpers are deliberately dependency-free (except numpy) so that they
 can be used from every other subpackage without creating import cycles.
@@ -16,7 +16,7 @@ from repro.util.units import (
     us_to_seconds,
 )
 from repro.util.tables import Table, format_table
-from repro.util.sweep import ParameterSweep, geometric_range, powers_of_two
+from repro.util.sweep import geometric_range, powers_of_two
 
 __all__ = [
     "MICROSECONDS_PER_SECOND",
@@ -30,7 +30,6 @@ __all__ = [
     "us_to_seconds",
     "Table",
     "format_table",
-    "ParameterSweep",
     "geometric_range",
     "powers_of_two",
 ]

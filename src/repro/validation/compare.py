@@ -114,7 +114,6 @@ def diff_backends(
     candidate: BackendSpec = "analytic-fast",
     baseline: BackendSpec = "simulator",
     workers: Optional[int] = None,
-    executor: str = "thread",
 ) -> ValidationSummary:
     """Run the same request matrix on two backends and diff the results.
 
@@ -133,12 +132,8 @@ def diff_backends(
     0.0
     """
     request_list = [as_request(request) for request in requests]
-    candidate_results = predict_many(
-        request_list, backend=candidate, workers=workers, executor=executor
-    )
-    baseline_results = predict_many(
-        request_list, backend=baseline, workers=workers, executor=executor
-    )
+    candidate_results = predict_many(request_list, backend=candidate, workers=workers)
+    baseline_results = predict_many(request_list, backend=baseline, workers=workers)
     return ValidationSummary(
         results=tuple(
             _diff_result(c, b, c.time_per_iteration_us)
@@ -202,7 +197,6 @@ def validate_matrix(
     max_events: Optional[int] = None,
     model_backend: BackendSpec = "analytic-fast",
     workers: Optional[int] = None,
-    executor: str = "thread",
 ) -> ValidationSummary:
     """Validate a matrix of configurations: analytic model vs the simulator.
 
@@ -222,12 +216,8 @@ def validate_matrix(
     candidate_is_simulator = isinstance(candidate, SimulatorBackend)
     if candidate_is_simulator:
         candidate = replace(candidate, simulate_nonwavefront=simulate_nonwavefront)
-    model_results = predict_many(
-        requests, backend=candidate, workers=workers, executor=executor
-    )
-    measured_results = predict_many(
-        requests, backend=measurement, workers=workers, executor=executor
-    )
+    model_results = predict_many(requests, backend=candidate, workers=workers)
+    measured_results = predict_many(requests, backend=measurement, workers=workers)
     return ValidationSummary(
         results=tuple(
             _diff_result(

@@ -1,5 +1,8 @@
 """Tests for repro.backends (protocol, registry, batch service)."""
 
+import os
+from dataclasses import replace
+
 import pytest
 
 from repro.apps.chimaera import chimaera
@@ -19,7 +22,8 @@ from repro.backends import (
 )
 from repro.backends.registry import _FACTORIES
 from repro.core import model_vec
-from repro.core.decomposition import ProblemSize, ProcessorGrid
+from repro.core.decomposition import ProblemSize, ProcessorGrid, decompose
+from repro.core.model import fill_times
 from repro.core.predictor import predict
 from repro.simulator.wavefront import simulate_wavefront
 
@@ -55,13 +59,13 @@ class TestRegistry:
             get_backend(42)
 
     def test_register_custom_backend(self):
-        register_backend("analytic-auto-test", lambda: AnalyticBackend(method="auto"))
+        register_backend("reference-test", lambda: AnalyticBackend(method="exact"))
         try:
-            assert "analytic-auto-test" in available_backends()
-            backend = get_backend("analytic-auto-test")
-            assert backend.method == "auto"
+            assert "reference-test" in available_backends()
+            backend = get_backend("reference-test")
+            assert backend.method == "exact"
         finally:
-            _FACTORIES.pop("analytic-auto-test", None)
+            _FACTORIES.pop("reference-test", None)
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError):
@@ -137,6 +141,19 @@ class TestAnalyticBackend:
         with pytest.raises(ValueError):
             AnalyticBackend(method="bogus")
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda spec, platform: AnalyticBackend(method="auto"),
+            lambda spec, platform: predict(spec, platform, total_cores=16, method="auto"),
+            lambda spec, platform: fill_times(spec, platform, decompose(16), method="auto"),
+        ],
+        ids=["backend", "predict", "fill_times"],
+    )
+    def test_auto_method_retired(self, spec, xt4_single, call):
+        with pytest.raises(ValueError, match="method"):
+            call(spec, xt4_single)
+
 
 class TestSimulatorBackend:
     def test_matches_simulate_wavefront(self, spec, xt4_single):
@@ -182,6 +199,16 @@ class _CountingBackend:
         return get_backend("analytic-fast").evaluate(spec, platform, grid, core_mapping)
 
 
+class _PidBackend:
+    """Non-batch backend recording the id of the process that evaluated."""
+
+    name = "pid"
+
+    def evaluate(self, spec, platform, grid, core_mapping=None):
+        result = get_backend("analytic-fast").evaluate(spec, platform, grid, core_mapping)
+        return replace(result, phases=(("pid", float(os.getpid())),))
+
+
 class TestPredictMany:
     def test_results_in_request_order(self, spec, xt4_single):
         requests = [
@@ -210,13 +237,22 @@ class TestPredictMany:
             PredictionRequest(spec, xt4_single, total_cores=c) for c in (4, 16, 4, 64)
         ]
         serial = predict_many(requests, backend=_CountingBackend())
-        backend = _CountingBackend()
-        threaded = predict_many(requests, backend=backend, workers=2, executor="thread")
-        assert backend.calls == 3  # the duplicate is evaluated once
-        assert [r.total_cores for r in threaded] == [4, 16, 4, 64]
+        pooled = predict_many(requests, backend=_CountingBackend(), workers=2)
+        assert pooled[0] is pooled[2]  # the duplicate is evaluated once
+        assert [r.total_cores for r in pooled] == [4, 16, 4, 64]
         assert [r.time_per_iteration_us for r in serial] == [
-            r.time_per_iteration_us for r in threaded
+            r.time_per_iteration_us for r in pooled
         ]
+
+    def test_workers_evaluate_in_worker_processes(self, spec, xt4_single):
+        requests = [
+            PredictionRequest(spec, xt4_single, total_cores=c) for c in (4, 16, 64, 4)
+        ]
+        results = predict_many(requests, backend=_PidBackend(), workers=2)
+        pids = {dict(result.phases)["pid"] for result in results}
+        assert float(os.getpid()) not in pids
+        assert results[0] is results[3]
+        assert [r.total_cores for r in results] == [4, 16, 64, 4]
 
     @pytest.mark.parametrize("backend", ["analytic-fast", "simulator"])
     def test_empty_request_list(self, backend):
@@ -352,7 +388,7 @@ class TestBatchProtocol:
         clear_simulation_cache()
         serial = predict_many(requests, backend="simulator")
         clear_simulation_cache()
-        pooled = predict_many(requests, backend="simulator", workers=2, executor="process")
+        pooled = predict_many(requests, backend="simulator", workers=2)
         assert [r.time_per_iteration_us for r in serial] == [
             r.time_per_iteration_us for r in pooled
         ]

@@ -796,7 +796,7 @@ class TestOneKeyPerPoint:
         ).points()
         keyed = [(f"{index:016x}", point.to_dict()) for index, point in enumerate(points)]
         scratch = tmp_path / "scratch.store"
-        _shard_worker(str(scratch), keyed, None, "thread", 1024)
+        _shard_worker(str(scratch), keyed, None, 1024)
         assert key_calls == []
         assert sorted(ResultStore(scratch).keys()) == [key for key, _ in keyed]
 
@@ -1068,6 +1068,36 @@ class TestReport:
         assert "## Model vs measurement (baseline: simulator)" in report
         assert "Across 1 configuration(s)" in report
         assert any(field in message for message in caplog.messages)
+
+    def test_v2_noisy_record_reads_as_its_noise_model(self, tmp_path):
+        """A v2 simulator record's compute_noise amplitude is its noise
+        model: the report labels the record with it, and a noise-free
+        candidate pairs only with the noise-free twin."""
+        spec = CampaignSpec(
+            name="v2-noise",
+            apps=("lu-classA",),
+            total_cores=(4,),
+            backends=("analytic-fast", "simulator"),
+        )
+        store_path = tmp_path / "v2.store"
+        run_campaign(spec, store=store_path)
+        store = ResultStore(store_path)
+        quiet = store.get(
+            CampaignPoint(
+                app="lu-classA", platform="cray-xt4", total_cores=4, htile=None,
+                backend="simulator",
+            ).key()
+        )
+        slower = 1.1 * quiet["result"]["time_per_iteration_us"]
+        noisy = {
+            "point": {**quiet["point"], "compute_noise": 0.05, "noise_seed": 0},
+            "result": {**quiet["result"], "time_per_iteration_us": slower},
+        }
+        store.put("v2-noisy-twin", noisy)
+        store.close()
+        report = campaign_report(store_path)
+        assert "| noise_model=sampled:0.05 | simulator |" in report
+        assert "Across 1 configuration(s)" in report
 
     def test_noisy_baseline_pairs_every_seed(self, tmp_path):
         """A deterministic candidate is diffed against each noisy replica."""

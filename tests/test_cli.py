@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.predictor import clear_prediction_cache
 
 
 class TestParser:
@@ -32,6 +33,27 @@ class TestParser:
             ["htile", "--app", "chimaera-240", "--cores", "4096", "--values", "1,2,4"]
         )
         assert args.values == [1.0, 2.0, 4.0]
+
+    def test_method_is_fast_or_exact(self):
+        command = ["predict", "--app", "lu-classA", "--cores", "16"]
+        assert build_parser().parse_args(command).method == "fast"
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(command + ["--method", "auto"])
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["htile", "--app", "chimaera-240", "--cores", "64"],
+            ["optimize", "--app", "chimaera-240"],
+            ["scaling", "--app", "lu-classA", "--cores", "4"],
+            ["campaign", "run", "--name", "paper-validation"],
+        ],
+        ids=["htile", "optimize", "scaling", "campaign-run"],
+    )
+    def test_workers_is_the_only_pool_flag(self, command):
+        assert build_parser().parse_args(command + ["--workers", "2"]).workers == 2
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(command + ["--executor", "process"])
 
 
 class TestCommands:
@@ -67,6 +89,16 @@ class TestCommands:
         assert main(["scaling", "--app", "sweep3d-1b", "--cores", "1024,4096"]) == 0
         out = capsys.readouterr().out
         assert "1024" in out and "4096" in out
+
+    def test_scaling_on_worker_processes_matches_serial(self, capsys):
+        command = ["scaling", "--app", "lu-classA", "--platform", "cray-xt4",
+                   "--cores", "4,16,64", "--backend", "simulator"]
+        assert main(command) == 0
+        serial = capsys.readouterr().out
+        # Forked workers would inherit the parent's memo; start them cold.
+        clear_prediction_cache()
+        assert main(command + ["--workers", "2"]) == 0
+        assert capsys.readouterr().out == serial
 
     def test_pingpong_recovers_parameters(self, capsys):
         assert main(["pingpong", "--repetitions", "2"]) == 0

@@ -4,7 +4,7 @@ The stochastic pieces of the library - the simulator's sampled noise, from
 a :class:`~repro.core.hetero.SampledNoise` platform model - must be
 bit-identical given a seed, regardless of *how* the evaluation is executed:
 
-* the same request list through ``predict_many`` with a thread pool and a
+* the same request list through ``predict_many`` serially and on a
   process pool;
 * an uninterrupted campaign run versus an interrupted-then-resumed one;
 * repeated in-process evaluations (cache cleared in between).
@@ -40,30 +40,18 @@ def _noisy_requests():
     ]
 
 
-class TestExecutorBitIdentity:
-    @pytest.mark.parametrize("seed", [0, 7])
-    def test_thread_vs_process_pools(self, seed):
+class TestPoolBitIdentity:
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_serial_matches_pooled(self, seed):
         backend = SimulatorBackend(noise_seed=seed)
-        threaded = predict_many(
-            _noisy_requests(), backend=backend, workers=2, executor="thread"
-        )
-        clear_prediction_cache()  # process-pool workers start cold anyway
-        pooled = predict_many(
-            _noisy_requests(), backend=backend, workers=2, executor="process"
-        )
-        for a, b in zip(threaded, pooled):
+        clear_prediction_cache()
+        serial = predict_many(_noisy_requests(), backend=backend)
+        # Forked workers would inherit the parent's memo; start them cold.
+        clear_prediction_cache()
+        pooled = predict_many(_noisy_requests(), backend=backend, workers=2)
+        for a, b in zip(serial, pooled):
             assert a.time_per_iteration_us == b.time_per_iteration_us
             assert a.computation_per_iteration_us == b.computation_per_iteration_us
-
-    def test_serial_matches_pooled(self):
-        backend = SimulatorBackend(noise_seed=3)
-        serial = predict_many(_noisy_requests(), backend=backend)
-        pooled = predict_many(
-            _noisy_requests(), backend=backend, workers=2, executor="process"
-        )
-        assert [r.time_per_iteration_us for r in serial] == [
-            r.time_per_iteration_us for r in pooled
-        ]
 
 
 class TestSeedSemantics:
@@ -169,7 +157,7 @@ class TestFaultDeterminism:
 
     The failure streams are drawn from ``Random(fault_seed * 2_000_003 +
     rank)`` - a different prime stride from the noise streams - so the same
-    fault seed replays the same failure schedule regardless of executor,
+    fault seed replays the same failure schedule regardless of pool,
     process, or what the noise layer is doing (``docs/faults.md``).
     """
 
@@ -187,16 +175,14 @@ class TestFaultDeterminism:
         ]
 
     @pytest.mark.parametrize("seed", [0, 7])
-    def test_fault_schedules_thread_vs_process_pools(self, seed):
+    def test_fault_schedules_serial_vs_process_pool(self, seed):
         backend = SimulatorBackend(fault_seed=seed)
-        threaded = predict_many(
-            self._faulty_requests(), backend=backend, workers=2, executor="thread"
-        )
-        clear_prediction_cache()  # process-pool workers start cold anyway
-        pooled = predict_many(
-            self._faulty_requests(), backend=backend, workers=2, executor="process"
-        )
-        for a, b in zip(threaded, pooled):
+        clear_prediction_cache()
+        serial = predict_many(self._faulty_requests(), backend=backend)
+        # Forked workers would inherit the parent's memo; start them cold.
+        clear_prediction_cache()
+        pooled = predict_many(self._faulty_requests(), backend=backend, workers=2)
+        for a, b in zip(serial, pooled):
             assert a.time_per_iteration_us == b.time_per_iteration_us
             assert a.computation_per_iteration_us == b.computation_per_iteration_us
 

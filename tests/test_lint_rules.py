@@ -202,7 +202,7 @@ def test_rpr003_flags_lambda_into_parallel_map():
     source = """\
     from repro.util.parallel import parallel_map
 
-    out = parallel_map(lambda x: x + 1, [1, 2], executor="process")
+    out = parallel_map(lambda x: x + 1, [1, 2], workers=2)
     """
     assert ids(check(source)) == ["RPR003"]
 
@@ -232,13 +232,14 @@ def test_rpr003_flags_local_function_reference():
     assert ids(check(source)) == ["RPR003"]
 
 
-def test_rpr003_thread_executor_is_exempt():
+def test_rpr003_flags_lambda_without_workers():
+    # A serial call site is one ``workers=`` argument away from a pool.
     source = """\
     from repro.util.parallel import parallel_map
 
-    out = parallel_map(lambda x: x + 1, [1, 2], executor="thread")
+    out = parallel_map(lambda x: x + 1, [1, 2])
     """
-    assert ids(check(source)) == []
+    assert ids(check(source)) == ["RPR003"]
 
 
 def test_rpr003_clean_partial_over_module_function():
@@ -250,17 +251,17 @@ def test_rpr003_clean_partial_over_module_function():
     def scale(factor, x):
         return factor * x
 
-    out = parallel_map(partial(scale, 3.0), [1, 2], executor="process")
+    out = parallel_map(partial(scale, 3.0), [1, 2], workers=2)
     """
     assert ids(check(source)) == []
 
 
-def test_rpr003_sweep_run_with_pool_kwargs():
+def test_rpr003_ignores_other_calls_with_workers():
     source = """\
     def study(sweep):
-        return sweep.run(lambda p: p.total_us, workers=2, executor="process")
+        return sweep.run(lambda p: p.total_us, workers=2)
     """
-    assert ids(check(source)) == ["RPR003"]
+    assert ids(check(source)) == []
 
 
 # ---------------------------------------------------------------------------

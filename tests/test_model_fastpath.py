@@ -132,11 +132,11 @@ class TestFastPathThroughPredictionStack:
         clear_prediction_cache()
         exact = predict(chimaera_small, xt4, total_cores=16384, method="exact")
         fast = predict(chimaera_small, xt4, total_cores=16384, method="fast")
-        auto = predict(chimaera_small, xt4, total_cores=16384)
+        default = predict(chimaera_small, xt4, total_cores=16384)
         assert fast.time_per_iteration_us == pytest.approx(
             exact.time_per_iteration_us, rel=REL_TOL
         )
-        assert auto.time_per_iteration_us == pytest.approx(
+        assert default.time_per_iteration_us == pytest.approx(
             exact.time_per_iteration_us, rel=REL_TOL
         )
 

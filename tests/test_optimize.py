@@ -446,7 +446,7 @@ class TestOptimizeFunction:
     def test_workers_fan_out_matches_serial(self):
         space = chimaera_space()
         serial = optimize(space)
-        pooled = optimize(space, workers=2, executor="thread")
+        pooled = optimize(space, workers=2)
         assert pooled.best.point == serial.best.point
         assert [p.point for p in pooled.evaluated] == [p.point for p in serial.evaluated]
 

@@ -157,6 +157,12 @@ class TestPredictionCache:
         second = predict(chimaera(ProblemSize(64, 64, 32), iterations=1), cray_xt4(), total_cores=64)
         assert second is first
 
+    def test_default_method_shares_the_fast_entry(self, spec, xt4):
+        clear_prediction_cache()
+        default = predict(spec, xt4, total_cores=64)
+        assert predict(spec, xt4, total_cores=64, method="fast") is default
+        assert prediction_cache_info().currsize == 1
+
     def test_distinct_methods_cached_separately(self, spec, xt4):
         clear_prediction_cache()
         fast = predict(spec, xt4, total_cores=64, method="fast")

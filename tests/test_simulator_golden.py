@@ -22,9 +22,10 @@ the machine:
 * a fault model under which ranks both fail and checkpoint;
 * a slowdown window, per-link FIFO contention and a straggler node;
 * the aggregated engine on single-core ``cray-xt4-1core``: LU (whose
-  stencil phase runs on the event machine, started from the aggregated
-  sweep times), LU over two iterations, Sweep3D, and Chimaera (whose
-  all-reduces run on the event machine too).
+  stencil phase runs on a hybrid event machine, started from the
+  aggregated sweep times), LU over two iterations, Sweep3D, and Chimaera
+  (whose all-reduces the aggregated engine prices arithmetically, so they
+  start no event machine).
 
 The simulator is stdlib-only, so these bytes depend on no optional
 package.  Regenerating after an *intentional* change to the engine::

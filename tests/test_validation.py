@@ -196,7 +196,7 @@ class TestDiffBackends:
             (chimaera(problem, iterations=1), xt4_single, 16),
         ]
         serial = validate_matrix(cases)
-        pooled = validate_matrix(cases, workers=2, executor="thread")
+        pooled = validate_matrix(cases, workers=2)
         assert [r.model_us for r in serial.results] == [
             r.model_us for r in pooled.results
         ]
