@@ -17,7 +17,7 @@ from repro.apps.lu import lu
 from repro.apps.sweep3d import Sweep3DConfig, sweep3d
 from repro.core.decomposition import ProblemSize
 from repro.util.tables import Table
-from repro.validation.compare import validate_matrix
+from repro.validation.compare import diff_backends
 
 
 def _build_cases(xt4, xt4_single):
@@ -38,7 +38,7 @@ def _build_cases(xt4, xt4_single):
 
 def test_validation_error_matrix(benchmark, xt4, xt4_single):
     cases = _build_cases(xt4, xt4_single)
-    summary = benchmark.pedantic(validate_matrix, args=(cases,), rounds=1, iterations=1)
+    summary = benchmark.pedantic(diff_backends, args=(cases,), rounds=1, iterations=1)
 
     table = Table(
         ["application", "platform", "P", "model (ms)", "simulated (ms)", "error"],
@@ -74,7 +74,7 @@ def test_validation_error_lu_single_core_under_five_percent(benchmark, xt4_singl
     """The tightest claim: LU under 5% (single-core-per-node configurations)."""
     problem = ProblemSize(96, 96, 48)
     cases = [(lu(problem, iterations=1), xt4_single, cores) for cores in (16, 64, 144, 256)]
-    summary = benchmark.pedantic(validate_matrix, args=(cases,), rounds=1, iterations=1)
+    summary = benchmark.pedantic(diff_backends, args=(cases,), rounds=1, iterations=1)
     table = Table(["P", "model (ms)", "simulated (ms)", "error"], title="LU validation")
     for result in summary.results:
         table.add_row(

@@ -16,13 +16,13 @@ use-case the paper motivates.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.apps.base import WavefrontSpec
 from repro.backends.base import PredictionRequest
 from repro.backends.registry import BackendSpec
 from repro.backends.service import predict_many
-from repro.core.loggp import OffNodeParams, OnChipParams, Platform
+from repro.core.loggp import Platform
 
 __all__ = [
     "SensitivityResult",

@@ -34,7 +34,7 @@ that comparison (and any future engine) interchangeable:
         register_backend("reference", lambda: AnalyticBackend(method="exact"))
 
     Any object implementing the protocol may also be passed directly as a
-    ``backend=`` argument (e.g. a configured ``SimulatorBackend(iterations=3,
+    ``backend=`` argument (e.g. a configured ``SimulatorBackend(fault_seed=3,
     noise_seed=7)``).
 
 **Batch service** (:mod:`repro.backends.service`)

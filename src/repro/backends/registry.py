@@ -60,10 +60,10 @@ def register_backend(
     a name raises unless ``replace=True``.
 
     >>> from repro.backends.simulator import SimulatorBackend
-    >>> register_backend("sim-3-iterations",
-    ...                  lambda: SimulatorBackend(iterations=3),
+    >>> register_backend("sim-noise-seed-3",
+    ...                  lambda: SimulatorBackend(noise_seed=3),
     ...                  replace=True)
-    >>> get_backend("sim-3-iterations").iterations
+    >>> get_backend("sim-noise-seed-3").noise_seed
     3
     """
     _ensure_builtins()
@@ -95,7 +95,7 @@ def get_backend(spec: BackendSpec) -> PredictionBackend:
     >>> get_backend("analytic-exact").name
     'analytic-exact'
     >>> from repro.backends.simulator import SimulatorBackend
-    >>> instance = SimulatorBackend(iterations=2)
+    >>> instance = SimulatorBackend(noise_seed=2)
     >>> get_backend(instance) is instance
     True
     """

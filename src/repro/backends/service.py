@@ -28,7 +28,7 @@ True
 
 Because both calls return :class:`~repro.backends.base.BackendResult` lists
 in request order, validation is literally "run the same matrix on two
-backends and diff" - see :func:`repro.validation.compare.validate_matrix`.
+backends and diff" - see :func:`repro.validation.compare.diff_backends`.
 """
 
 from __future__ import annotations

@@ -14,8 +14,8 @@ Evaluations are memoised on the full configuration (spec, platform, grid,
 mapping, backend options) - the batch service layer's deduplication plus
 this cache make repeated matrix entries free, mirroring the analytic
 prediction cache.  Scale comes from the diagonal-aggregated engine
-(:mod:`repro.simulator.fastpath`), selected automatically for noise-free
-homogeneous configurations (``engine="auto"``).
+(:mod:`repro.simulator.fastpath`), selected automatically whenever it is
+exact for the configuration.
 """
 
 from __future__ import annotations
@@ -27,11 +27,7 @@ from repro.apps.base import WavefrontSpec
 from repro.backends.base import BackendResult
 from repro.core.decomposition import CoreMapping, ProcessorGrid
 from repro.core.loggp import Platform
-from repro.simulator.wavefront import (
-    SIMULATOR_ENGINES,
-    WavefrontSimulationResult,
-    simulate_wavefront,
-)
+from repro.simulator.wavefront import WavefrontSimulationResult, simulate_wavefront
 from repro.util.caching import memoised
 
 __all__ = [
@@ -45,16 +41,18 @@ __all__ = [
 class SimulatorBackend:
     """Wavefront simulation as a :class:`PredictionBackend`.
 
-    Parameters mirror :func:`repro.simulator.wavefront.simulate_wavefront`;
-    the defaults (one iteration, non-wavefront phase included, contention
-    on, automatic engine choice) reproduce the validation harness's
-    measurement configuration.  Heterogeneous platform features -
-    per-node speed profiles, hierarchical interconnects, background noise
-    and fault/checkpoint models - come from the platform description alone
-    (``platform.with_noise(SampledNoise(0.05))`` makes a noisy machine);
+    Each evaluation simulates one iteration with shared-bus contention on
+    and the engine chosen automatically (the defaults of
+    :func:`repro.simulator.wavefront.simulate_wavefront`): the validation
+    harness's measurement configuration.  What an iteration holds comes
+    from the spec (``NoNonWavefront()`` leaves out the phase between
+    iterations), and heterogeneous platform features - per-node speed
+    profiles, hierarchical interconnects, background noise and
+    fault/checkpoint models - come from the platform description alone
+    (``platform.with_noise(SampledNoise(0.05))`` makes a noisy machine).
     ``noise_seed`` and ``fault_seed`` select the per-rank jitter and
-    failure streams, and ``link_contention`` serialises overlapping
-    off-node payloads on per-link FIFO queues.
+    failure streams, ``link_contention`` serialises overlapping off-node
+    payloads on per-link FIFO queues, and ``max_events`` bounds the run.
 
     >>> SimulatorBackend().name
     'simulator'
@@ -67,22 +65,10 @@ class SimulatorBackend:
     True
     """
 
-    iterations: int = 1
-    simulate_nonwavefront: bool = True
-    enable_contention: bool = True
     noise_seed: int = 0
     fault_seed: int = 0
     link_contention: bool = False
-    engine: str = "auto"
     max_events: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.engine not in SIMULATOR_ENGINES:
-            raise ValueError(
-                f"engine must be one of {SIMULATOR_ENGINES}, got {self.engine!r}"
-            )
 
     @property
     def name(self) -> str:
@@ -148,13 +134,9 @@ def _simulate(
         platform,
         grid=grid,
         core_mapping=core_mapping,
-        iterations=backend.iterations,
-        simulate_nonwavefront=backend.simulate_nonwavefront,
-        enable_contention=backend.enable_contention,
         noise_seed=backend.noise_seed,
         fault_seed=backend.fault_seed,
         link_contention=backend.link_contention,
-        engine=backend.engine,
         max_events=backend.max_events,
     )
 

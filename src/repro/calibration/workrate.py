@@ -22,7 +22,6 @@ from typing import Callable
 import numpy as np
 
 from repro.apps.base import WavefrontSpec
-from repro.core.decomposition import ProblemSize
 from repro.kernels.ssor import SsorParameters, lower_sweep_block
 from repro.kernels.stencil import seven_point_stencil
 from repro.kernels.transport import AngleSet, sweep_cell_block

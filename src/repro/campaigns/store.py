@@ -48,7 +48,6 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Optional, Tuple, Union
 
 from repro.campaigns.segments import (
-    SEGMENT_NAMES,
     STORE_VERSION,
     SegmentCorruption,
     SegmentLog,

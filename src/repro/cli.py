@@ -37,16 +37,15 @@ from typing import Callable, Sequence
 from repro.analysis.htile import htile_study
 from repro.analysis.scaling import strong_scaling
 from repro.apps.workloads import standard_workloads
-from repro.backends.registry import available_backends
-from repro.backends.service import predict_one
+from repro.backends.base import PredictionRequest
+from repro.backends.registry import available_backends, get_backend
+from repro.backends.service import predict_many
 from repro.campaigns.builtin import builtin_campaigns, get_campaign
 from repro.campaigns.report import campaign_report, write_report
 from repro.campaigns.runner import CampaignRunner
 from repro.campaigns.spec import apply_htile, load_campaign_file
 from repro.campaigns.store import ResultStore, default_store_path
 from repro.calibration.fitting import derive_platform_parameters
-from repro.core.faults import FaultModel
-from repro.core.model import FILL_METHODS
 from repro.devtools.lint.cli import add_lint_arguments, run_lint
 from repro.optimize import (
     OBJECTIVES,
@@ -88,26 +87,41 @@ def _float_list(text: str) -> list[float]:
     return [float(item) for item in text.split(",") if item]
 
 
+def _platform(name: str):
+    try:
+        return get_platform(name)
+    except KeyError as exc:
+        raise SystemExit(str(exc.args[0])) from exc
+
+
+def _htile_spec(spec, htile: float):
+    """``spec`` at tile height ``htile``, realised as the campaigns do it."""
+    try:
+        return apply_htile(spec, htile)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from exc
+
+
 def _resolve_backend(args: argparse.Namespace) -> str:
-    """The prediction backend to use: ``--backend``, or the ``--method`` alias."""
-    if getattr(args, "backend", None):
-        return args.backend
-    if getattr(args, "method", "fast") == "exact":
-        return "analytic-exact"
-    return "analytic-fast"
+    """The registered backend named by ``--backend`` (default analytic-fast)."""
+    name = args.backend or "analytic-fast"
+    try:
+        get_backend(name)
+    except KeyError as exc:
+        raise SystemExit(str(exc.args[0])) from exc
+    return name
 
 
 def _scenario_platform(args: argparse.Namespace):
     """The platform with any scenario flags applied.
 
-    Handles ``--speed-profile``, ``--slowdown-windows``, ``--noise``,
-    ``--faults`` and the ``--mtbf`` / ``--checkpoint-interval`` shorthands
-    (which merge into the fault model).
+    Handles ``--speed-profile``, ``--slowdown-windows``, ``--noise`` and
+    ``--faults``.
     """
     from dataclasses import replace
     from repro.core.hetero import SpeedProfile
 
-    platform = get_platform(args.platform)
+    platform = _platform(args.platform)
     try:
         profile = parse_speed_profile(getattr(args, "speed_profile", None))
         windows = parse_slowdown_windows(getattr(args, "slowdown_windows", None))
@@ -119,13 +133,6 @@ def _scenario_platform(args: argparse.Namespace):
         if noise is not None:
             platform = platform.with_noise(noise)
         faults = parse_fault_model(getattr(args, "faults", None))
-        overrides = {}
-        if getattr(args, "mtbf", None) is not None:
-            overrides["mtbf_us"] = args.mtbf
-        if getattr(args, "checkpoint_interval", None) is not None:
-            overrides["checkpoint_interval_us"] = args.checkpoint_interval
-        if overrides:
-            faults = replace(faults or FaultModel(), **overrides)
         if faults is not None:
             platform = platform.with_faults(faults)
     except ValueError as exc:
@@ -136,12 +143,17 @@ def _scenario_platform(args: argparse.Namespace):
 def _cmd_predict(args: argparse.Namespace) -> int:
     spec = _workload(args.app)
     if args.htile is not None:
-        spec = spec.with_htile(args.htile)
+        spec = _htile_spec(spec, args.htile)
     if args.time_steps is not None:
         spec = spec.with_time_steps(args.time_steps)
     platform = _scenario_platform(args)
     try:
-        mapping = parse_placement(args.placement, platform)
+        request = PredictionRequest(
+            spec,
+            platform,
+            total_cores=args.cores,
+            core_mapping=parse_placement(args.placement, platform),
+        )
     except ValueError as exc:
         raise SystemExit(str(exc)) from exc
     backend = _resolve_backend(args)
@@ -158,13 +170,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         backend = SimulatorBackend(
             fault_seed=fault_seed, link_contention=link_contention
         )
-    result = predict_one(
-        spec,
-        platform,
-        total_cores=args.cores,
-        core_mapping=mapping,
-        backend=backend,
-    )
+    result = predict_many([request], backend=backend)[0]
     summary = result.summary()
     if args.json:
         print(json.dumps(summary, indent=2))
@@ -178,7 +184,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     spec = _workload(args.app)
-    platform = get_platform(args.platform)
+    platform = _platform(args.platform)
     model_backend = _resolve_backend(args)
     if model_backend == "simulator":
         raise SystemExit(
@@ -218,9 +224,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_htile(args: argparse.Namespace) -> int:
     base = _workload(args.app)
-    platform = get_platform(args.platform)
+    platform = _platform(args.platform)
     study = htile_study(
-        partial(apply_htile, base),
+        partial(_htile_spec, base),
         platform,
         args.cores,
         args.values,
@@ -311,7 +317,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 def _cmd_scaling(args: argparse.Namespace) -> int:
     spec = _workload(args.app)
-    platform = get_platform(args.platform)
+    platform = _platform(args.platform)
     curve = strong_scaling(
         spec,
         platform,
@@ -474,7 +480,7 @@ def _cmd_platform_describe(args: argparse.Namespace) -> int:
 
 
 def _cmd_pingpong(args: argparse.Namespace) -> int:
-    platform = get_platform(args.platform)
+    platform = _platform(args.platform)
     fitted = derive_platform_parameters(platform, repetitions=args.repetitions)
     table = Table(["parameter", "fitted value"], title=f"Table 2 parameters for {platform.name}")
     for name, value in fitted.table2_rows():
@@ -600,18 +606,6 @@ def build_parser() -> argparse.ArgumentParser:
             "microseconds: mtbf, repair, restart, interval, dump "
             "(e.g. mtbf:2e9/repair:1e6/interval:1e6/dump:5e3)",
         )
-        p.add_argument(
-            "--mtbf",
-            type=float,
-            default=None,
-            help="mean time between failures in us (shorthand merged into --faults)",
-        )
-        p.add_argument(
-            "--checkpoint-interval",
-            type=float,
-            default=None,
-            help="checkpoint period in us (shorthand merged into --faults)",
-        )
 
     p_predict = sub.add_parser("predict", help="predict execution time")
     add_common(p_predict)
@@ -629,13 +623,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="serialise overlapping off-node payloads on per-link FIFO "
         "queues (simulator backend only)",
-    )
-    p_predict.add_argument(
-        "--method",
-        choices=FILL_METHODS,
-        default="fast",
-        help="StartP evaluator: fast closed-form/period-folded path or the exact "
-        "grid walk (alias for --backend analytic-fast / analytic-exact)",
     )
     add_backend_flag(p_predict)
     add_json_flag(p_predict)

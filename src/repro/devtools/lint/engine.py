@@ -20,7 +20,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.devtools.lint.findings import Finding, LintReport, sorted_findings
 from repro.devtools.lint.registry import LintRule, RuleSpec, get_rules

@@ -21,7 +21,7 @@ private classes are exempt.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Iterable, List, Set, Tuple
 
 from repro.devtools.lint.astutil import dotted_name
 from repro.devtools.lint.findings import Finding

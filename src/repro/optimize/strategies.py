@@ -40,7 +40,7 @@ from typing import (
     runtime_checkable,
 )
 
-from repro.backends.registry import BackendSpec, get_backend
+from repro.backends.registry import BackendSpec
 from repro.backends.service import predict_many
 from repro.optimize.result import EvaluatedPoint, objective_value
 from repro.optimize.space import DesignPoint, OptimizationSpace

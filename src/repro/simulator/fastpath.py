@@ -572,9 +572,7 @@ def run_aggregated(
     bus_transfers = 0
     # The non-wavefront phase: nothing, an arithmetic all-reduce, or (for
     # stencil / custom strategies) a hybrid event-machine sub-simulation.
-    skip_nonwavefront = not simulator.simulate_nonwavefront or isinstance(
-        spec.nonwavefront, NoNonWavefront
-    )
+    skip_nonwavefront = isinstance(spec.nonwavefront, NoNonWavefront)
     arithmetic_allreduce = (
         not skip_nonwavefront
         and isinstance(spec.nonwavefront, AllReduceNonWavefront)

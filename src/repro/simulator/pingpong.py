@@ -17,7 +17,7 @@ same way the paper does from its measurements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Sequence
+from typing import Iterator, List, Sequence
 
 from repro.core.loggp import Platform
 from repro.simulator.collectives import allreduce_ops

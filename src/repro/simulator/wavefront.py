@@ -125,8 +125,9 @@ class WavefrontSimulator:
     iterations:
         Number of iterations to simulate (1 is enough for per-iteration
         validation; more iterations exercise the inter-iteration phases).
-    simulate_nonwavefront:
-        Include the all-reduce / stencil phase between iterations.
+        Each iteration ends with the spec's non-wavefront phase (the
+        all-reduce or stencil update); a spec whose ``nonwavefront`` is
+        :class:`~repro.apps.base.NoNonWavefront` has none.
     enable_contention:
         Toggle the shared-bus queueing (Table 6's effect).
     noise_seed:
@@ -163,7 +164,6 @@ class WavefrontSimulator:
         total_cores: Optional[int] = None,
         core_mapping: Optional[CoreMapping] = None,
         iterations: int = 1,
-        simulate_nonwavefront: bool = True,
         enable_contention: bool = True,
         noise_seed: int = 0,
         fault_seed: int = 0,
@@ -185,7 +185,6 @@ class WavefrontSimulator:
         self.grid = grid
         self.core_mapping = resolve_core_mapping(platform, core_mapping)
         self.iterations = iterations
-        self.simulate_nonwavefront = simulate_nonwavefront
         self.enable_contention = enable_contention
         self.noise_seed = noise_seed
         self.fault_seed = fault_seed
@@ -307,8 +306,7 @@ class WavefrontSimulator:
                         yield from sends
                 yield Mark(("sweep", iteration, sweep_index))
 
-            if self.simulate_nonwavefront:
-                yield from self._nonwavefront_ops(rank, i, j, iteration, work=work)
+            yield from self._nonwavefront_ops(rank, i, j, iteration, work=work)
             yield Mark(("iteration", iteration))
 
     def _nonwavefront_ops(
@@ -467,7 +465,6 @@ def simulate_wavefront(
     total_cores: Optional[int] = None,
     core_mapping: Optional[CoreMapping] = None,
     iterations: int = 1,
-    simulate_nonwavefront: bool = True,
     enable_contention: bool = True,
     noise_seed: int = 0,
     fault_seed: int = 0,
@@ -483,7 +480,6 @@ def simulate_wavefront(
         total_cores=total_cores,
         core_mapping=core_mapping,
         iterations=iterations,
-        simulate_nonwavefront=simulate_nonwavefront,
         enable_contention=enable_contention,
         noise_seed=noise_seed,
         fault_seed=fault_seed,

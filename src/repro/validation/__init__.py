@@ -7,7 +7,6 @@ from repro.validation.compare import (
     diff_backends,
     validate_allreduce,
     validate_configuration,
-    validate_matrix,
 )
 
 __all__ = [
@@ -17,5 +16,4 @@ __all__ = [
     "diff_backends",
     "validate_allreduce",
     "validate_configuration",
-    "validate_matrix",
 ]

@@ -6,23 +6,24 @@ role of the measurement (see DESIGN.md).  With the unified backend
 architecture the harness is a generic *diff*: run the same configuration
 matrix on two prediction backends through
 :func:`repro.backends.service.predict_many` and compare per-iteration times
-(:func:`diff_backends`).  The classic entry points
-(:func:`validate_configuration`, :func:`validate_matrix`) are thin wrappers
-that pick an analytic candidate and the simulator baseline, reproducing the
-"<5% for LU, <10% for the transport benchmarks on high-performance
-configurations" style summaries - and because any backend can stand on
-either side, every :mod:`repro.analysis` study can be cross-checked against
-the simulator with one argument.
+(:func:`diff_backends`).  Its defaults - the analytic model as candidate,
+the simulator as baseline - reproduce the "<5% for LU, <10% for the
+transport benchmarks on high-performance configurations" style summaries;
+:func:`validate_configuration` is the single-configuration form.  Because
+any backend can stand on either side, every :mod:`repro.analysis` study
+can be cross-checked against the simulator with one argument.  Both sides
+price the spec as given, so an application without a non-wavefront phase
+is compared as a spec with ``NoNonWavefront()``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from repro.apps.base import WavefrontSpec
 from repro.backends.base import BackendResult, PredictionRequest
-from repro.backends.registry import BackendSpec, get_backend
+from repro.backends.registry import BackendSpec
 from repro.backends.service import RequestLike, as_request, predict_many
 from repro.backends.simulator import SimulatorBackend
 from repro.core.comm import allreduce_time
@@ -36,7 +37,6 @@ __all__ = [
     "ValidationSummary",
     "diff_backends",
     "validate_configuration",
-    "validate_matrix",
     "AllReduceValidation",
     "validate_allreduce",
 ]
@@ -95,15 +95,13 @@ class ValidationSummary:
         )
 
 
-def _diff_result(
-    candidate: BackendResult, baseline: BackendResult, candidate_us: float
-) -> ValidationResult:
+def _diff_result(candidate: BackendResult, baseline: BackendResult) -> ValidationResult:
     return ValidationResult(
         application=candidate.spec.name,
         platform=candidate.platform.name,
         total_cores=candidate.grid.total_processors,
         cores_per_node=candidate.platform.node.cores_per_node,
-        model_us=candidate_us,
+        model_us=candidate.time_per_iteration_us,
         simulated_us=baseline.time_per_iteration_us,
     )
 
@@ -117,11 +115,15 @@ def diff_backends(
 ) -> ValidationSummary:
     """Run the same request matrix on two backends and diff the results.
 
-    ``model_us`` holds the candidate's per-iteration time, ``simulated_us``
-    the baseline's.  Any registered backend (or instance) can stand on
-    either side: ``diff_backends(requests, candidate="analytic-fast",
+    ``requests`` are :class:`~repro.backends.base.PredictionRequest`
+    objects or ``(spec, platform, total_cores)`` triples.  ``model_us``
+    holds the candidate's per-iteration time, ``simulated_us`` the
+    baseline's.  Any registered backend (or instance) can stand on either
+    side: ``diff_backends(requests, candidate="analytic-fast",
     baseline="analytic-exact")`` checks the fast engine, the defaults check
-    the model against the simulated measurement.
+    the model against the simulated measurement.  Both sides run the whole
+    matrix through :func:`~repro.backends.service.predict_many` (with
+    optional pool fan-out), so repeated configurations are evaluated once.
 
     >>> from repro.apps.workloads import lu_class
     >>> from repro.platforms import cray_xt4
@@ -136,29 +138,9 @@ def diff_backends(
     baseline_results = predict_many(request_list, backend=baseline, workers=workers)
     return ValidationSummary(
         results=tuple(
-            _diff_result(c, b, c.time_per_iteration_us)
-            for c, b in zip(candidate_results, baseline_results)
+            _diff_result(c, b) for c, b in zip(candidate_results, baseline_results)
         )
     )
-
-
-def _adjusted_model_us(result: BackendResult, simulate_nonwavefront: bool) -> float:
-    """The candidate's per-iteration time, minus ``Tnonwavefront`` when the
-    measurement excludes the non-wavefront phase (analytic backends only:
-    every analytic result carries a ``"nonwavefront"`` phase)."""
-    model_us = result.time_per_iteration_us
-    if not simulate_nonwavefront:
-        nonwavefront = dict(result.phases).get("nonwavefront")
-        if nonwavefront is None:
-            raise ValueError(
-                "simulate_nonwavefront=False needs a candidate whose "
-                "non-wavefront phase can be excluded: an analytic backend "
-                "(whose Tnonwavefront term is subtracted) or a "
-                "SimulatorBackend (reconfigured automatically); backend "
-                f"{result.backend!r} supports neither"
-            )
-        model_us -= nonwavefront
-    return model_us
 
 
 def validate_configuration(
@@ -168,68 +150,19 @@ def validate_configuration(
     total_cores: Optional[int] = None,
     grid: Optional[ProcessorGrid] = None,
     core_mapping: Optional[CoreMapping] = None,
-    simulate_nonwavefront: bool = True,
     max_events: Optional[int] = None,
     model_backend: BackendSpec = "analytic-fast",
 ) -> ValidationResult:
     """Run the model and the simulator for one configuration and compare."""
-    summary = validate_matrix(
-        [
-            PredictionRequest(
-                spec,
-                platform,
-                total_cores=total_cores,
-                grid=grid,
-                core_mapping=core_mapping,
-            )
-        ],
-        simulate_nonwavefront=simulate_nonwavefront,
-        max_events=max_events,
-        model_backend=model_backend,
+    request = PredictionRequest(
+        spec, platform, total_cores=total_cores, grid=grid, core_mapping=core_mapping
+    )
+    summary = diff_backends(
+        [request],
+        candidate=model_backend,
+        baseline=SimulatorBackend(max_events=max_events),
     )
     return summary.results[0]
-
-
-def validate_matrix(
-    cases: Sequence[RequestLike],
-    *,
-    simulate_nonwavefront: bool = True,
-    max_events: Optional[int] = None,
-    model_backend: BackendSpec = "analytic-fast",
-    workers: Optional[int] = None,
-) -> ValidationSummary:
-    """Validate a matrix of configurations: analytic model vs the simulator.
-
-    ``cases`` are :class:`~repro.backends.base.PredictionRequest` objects or
-    ``(spec, platform, total_cores)`` triples.  Both backends run the full
-    matrix through :func:`~repro.backends.service.predict_many` (with
-    optional pool fan-out), so repeated configurations are evaluated once.
-    """
-    requests = [as_request(case) for case in cases]
-    measurement = SimulatorBackend(
-        simulate_nonwavefront=simulate_nonwavefront, max_events=max_events
-    )
-    # A simulator candidate must see the same phase configuration as the
-    # baseline; analytic candidates are adjusted in _adjusted_model_us, and
-    # any other backend with simulate_nonwavefront=False is rejected there.
-    candidate = get_backend(model_backend)
-    candidate_is_simulator = isinstance(candidate, SimulatorBackend)
-    if candidate_is_simulator:
-        candidate = replace(candidate, simulate_nonwavefront=simulate_nonwavefront)
-    model_results = predict_many(requests, backend=candidate, workers=workers)
-    measured_results = predict_many(requests, backend=measurement, workers=workers)
-    return ValidationSummary(
-        results=tuple(
-            _diff_result(
-                model,
-                measured,
-                model.time_per_iteration_us
-                if candidate_is_simulator
-                else _adjusted_model_us(model, simulate_nonwavefront),
-            )
-            for model, measured in zip(model_results, measured_results)
-        )
-    )
 
 
 @dataclass(frozen=True)

@@ -34,11 +34,24 @@ class TestParser:
         )
         assert args.values == [1.0, 2.0, 4.0]
 
-    def test_method_is_fast_or_exact(self):
-        command = ["predict", "--app", "lu-classA", "--cores", "16"]
-        assert build_parser().parse_args(command).method == "fast"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(command + ["--method", "auto"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["predict", "--app", "lu-classA", "--cores", "16", "--method", "exact"],
+            ["predict", "--app", "lu-classA", "--cores", "16", "--mtbf", "1e4"],
+            ["predict", "--app", "lu-classA", "--cores", "16",
+             "--checkpoint-interval", "2e3"],
+            ["platform", "describe", "--mtbf", "1e4"],
+            ["platform", "describe", "--checkpoint-interval", "2e3"],
+        ],
+        ids=["method", "mtbf", "checkpoint-interval", "describe-mtbf",
+             "describe-checkpoint-interval"],
+    )
+    def test_alias_flags_rejected(self, command):
+        """``--backend`` and ``--faults`` are the one spelling of each setting."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(command)
+        assert excinfo.value.code == 2
 
     @pytest.mark.parametrize(
         "command",
@@ -68,9 +81,47 @@ class TestCommands:
             main(["predict", "--app", "not-a-benchmark", "--cores", "64"])
         assert "chimaera-240" in str(excinfo.value)
 
-    def test_predict_unknown_platform_fails(self):
-        with pytest.raises(KeyError):
-            main(["predict", "--app", "chimaera-240", "--cores", "64", "--platform", "zzz"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["predict", "--app", "chimaera-240", "--cores", "64"],
+            ["validate", "--app", "chimaera-240", "--cores", "64"],
+            ["htile", "--app", "chimaera-240", "--cores", "64"],
+            ["scaling", "--app", "chimaera-240", "--cores", "64"],
+            ["pingpong"],
+            ["platform", "describe"],
+        ],
+        ids=["predict", "validate", "htile", "scaling", "pingpong", "platform-describe"],
+    )
+    def test_unknown_platform_fails_helpfully(self, command):
+        with pytest.raises(SystemExit) as excinfo:
+            main(command + ["--platform", "zzz"])
+        assert str(excinfo.value).startswith("unknown platform 'zzz'")
+        assert "cray-xt4-quad-chip" in str(excinfo.value)
+
+    def test_predict_nonpositive_cores_fails_helpfully(self):
+        with pytest.raises(SystemExit, match="total_cores must be positive"):
+            main(["predict", "--app", "chimaera-240", "--cores", "0"])
+
+    def test_predict_htile_is_realised_like_campaigns(self, capsys):
+        """Sweep3D heights come from integral ``mk`` blocking: 2.5 prices
+        as the spec re-tiled to 2.5, and 2.2 is refused, as ``htile`` and
+        campaigns refuse it."""
+        from repro.apps.workloads import sweep3d_20m
+        from repro.backends.service import predict_one
+        from repro.platforms import cray_xt4
+
+        assert main(["predict", "--app", "sweep3d-20m", "--cores", "16",
+                     "--htile", "2.5", "--json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        direct = predict_one(sweep3d_20m().with_htile(2.5), cray_xt4(), total_cores=16)
+        assert record == json.loads(json.dumps(direct.summary()))
+        with pytest.raises(SystemExit, match="Htile=2.2 is not representable"):
+            main(["predict", "--app", "sweep3d-20m", "--cores", "16", "--htile", "2.2"])
+
+    def test_htile_unrealisable_value_fails_helpfully(self):
+        with pytest.raises(SystemExit, match="Htile=2.2 is not representable"):
+            main(["htile", "--app", "sweep3d-20m", "--cores", "16", "--values", "1,2.2"])
 
     def test_table3_lists_benchmarks(self, capsys):
         assert main(["table3"]) == 0
@@ -204,18 +255,20 @@ class TestBackendFlag:
         out = capsys.readouterr().out
         assert "simulator" in out
 
-    def test_predict_method_exact_is_backend_alias(self, capsys):
+    def test_predict_analytic_exact_backend(self, capsys):
         assert main(
             ["predict", "--app", "chimaera-240", "--cores", "64",
-             "--method", "exact", "--json"]
+             "--backend", "analytic-exact", "--json"]
         ) == 0
         record = json.loads(capsys.readouterr().out)
         assert record["backend"] == "analytic-exact"
 
     def test_unknown_backend_fails(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(SystemExit) as excinfo:
             main(["predict", "--app", "chimaera-240", "--cores", "64",
                   "--backend", "psychic"])
+        assert str(excinfo.value).startswith("unknown backend 'psychic'")
+        assert "analytic-fast" in str(excinfo.value)
 
     def test_validate_rejects_simulator_self_comparison(self):
         with pytest.raises(SystemExit) as excinfo:

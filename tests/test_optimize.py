@@ -7,7 +7,6 @@ import json
 import pytest
 
 from repro.apps.workloads import chimaera_240cubed, lu_class
-from repro.backends.base import PredictionRequest
 from repro.backends.registry import register_backend
 from repro.backends.service import predict_many
 from repro.optimize import (

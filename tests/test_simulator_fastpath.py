@@ -11,7 +11,7 @@ import pytest
 
 from dataclasses import replace
 
-from repro.apps.base import AllReduceNonWavefront
+from repro.apps.base import AllReduceNonWavefront, NoNonWavefront
 from repro.apps.chimaera import chimaera
 from repro.apps.lu import lu
 from repro.apps.sweep3d import Sweep3DConfig, sweep3d
@@ -86,10 +86,9 @@ class TestExactEquivalence:
 
     def test_without_nonwavefront_phase(self, problem, xt4_single):
         assert_engines_agree(
-            chimaera(problem, iterations=1),
+            replace(chimaera(problem, iterations=1), nonwavefront=NoNonWavefront()),
             xt4_single,
             ProcessorGrid(4, 4),
-            simulate_nonwavefront=False,
         )
 
     def test_multiple_iterations(self, problem, xt4_single):

@@ -2,10 +2,11 @@
 
 import gc
 import weakref
+from dataclasses import replace
 
 import pytest
 
-from repro.apps.base import FillClass
+from repro.apps.base import FillClass, NoNonWavefront
 from repro.apps.chimaera import chimaera
 from repro.apps.lu import lu
 from repro.apps.sweep3d import Sweep3DConfig, sweep3d
@@ -49,10 +50,8 @@ class TestSimulatorConstruction:
 
 class TestSimulationBasics:
     def test_single_processor_run_is_pure_compute(self, problem, xt4_single):
-        spec = chimaera(problem, iterations=1)
-        result = simulate_wavefront(
-            spec, xt4_single, grid=ProcessorGrid(1, 1), simulate_nonwavefront=False
-        )
+        spec = replace(chimaera(problem, iterations=1), nonwavefront=NoNonWavefront())
+        result = simulate_wavefront(spec, xt4_single, grid=ProcessorGrid(1, 1))
         tiles = spec.tiles_per_stack()
         expected = spec.nsweeps * tiles * spec.work_per_tile(ProcessorGrid(1, 1), xt4_single)
         assert result.makespan_us == pytest.approx(expected)
@@ -68,11 +67,9 @@ class TestSimulationBasics:
 
     def test_message_counts_match_structure(self, problem, xt4_single):
         """Each sweep sends one EW and one NS message per tile per interior edge."""
-        spec = lu(problem, iterations=1)
+        spec = replace(lu(problem, iterations=1), nonwavefront=NoNonWavefront())
         grid = ProcessorGrid(2, 2)
-        result = simulate_wavefront(
-            spec, xt4_single, grid=grid, simulate_nonwavefront=False
-        )
+        result = simulate_wavefront(spec, xt4_single, grid=grid)
         tiles = int(spec.tiles_per_stack())
         # 2x2 grid: per sweep, 2 east-west edges and 2 north-south edges.
         expected = spec.nsweeps * tiles * 4
@@ -125,10 +122,9 @@ class TestOperationReuse:
 
     def _run(self, spec, platform, **options):
         return simulate_wavefront(
-            spec,
+            replace(spec, nonwavefront=NoNonWavefront()),
             platform,
             grid=self.GRID,
-            simulate_nonwavefront=False,
             engine="event",
             **options,
         )
@@ -186,24 +182,27 @@ class TestPrecedenceStructure:
     def test_full_barrier_delays_following_sweep(self, problem, xt4_single):
         """In LU the second sweep only starts after the first completes
         everywhere, so the iteration takes at least two fills + two stacks."""
-        spec = lu(problem, iterations=1)
+        spec = replace(lu(problem, iterations=1), nonwavefront=NoNonWavefront())
         grid = ProcessorGrid(4, 4)
-        result = simulate_wavefront(spec, xt4_single, grid=grid, simulate_nonwavefront=False)
+        result = simulate_wavefront(spec, xt4_single, grid=grid)
         prediction = iteration_prediction(spec, xt4_single, grid)
         minimum = 2 * prediction.tstack + prediction.tfullfill
         assert result.makespan_us > minimum
 
     def test_chimaera_slower_than_sweep3d_like_schedule(self, problem, xt4_single):
         """More full-completion hand-offs (nfull=4 vs 2) cost real time."""
-        chim = chimaera(problem, iterations=1)
-        swp = sweep3d(problem, config=Sweep3DConfig(mk=2, mmi=6, mmo=6), iterations=1)
+        chim = replace(chimaera(problem, iterations=1), nonwavefront=NoNonWavefront())
+        swp = replace(
+            sweep3d(problem, config=Sweep3DConfig(mk=2, mmi=6, mmo=6), iterations=1),
+            nonwavefront=NoNonWavefront(),
+        )
         # Give both codes identical per-cell work and message sizes so only the
         # precedence structure differs.
         swp = swp.with_wg(chim.wg_us)
         chim = chim.with_htile(swp.htile)
         grid = ProcessorGrid(4, 4)
-        t_chim = simulate_wavefront(chim, xt4_single, grid=grid, simulate_nonwavefront=False)
-        t_swp = simulate_wavefront(swp, xt4_single, grid=grid, simulate_nonwavefront=False)
+        t_chim = simulate_wavefront(chim, xt4_single, grid=grid)
+        t_swp = simulate_wavefront(swp, xt4_single, grid=grid)
         assert t_chim.makespan_us > t_swp.makespan_us
 
     def test_fill_classes_expose_expected_fills(self, problem, xt4_single):
@@ -212,7 +211,7 @@ class TestPrecedenceStructure:
         from repro.apps.base import SweepPhase, SweepSchedule
         from repro.core.decomposition import Corner
 
-        base = chimaera(problem, iterations=1)
+        base = replace(chimaera(problem, iterations=1), nonwavefront=NoNonWavefront())
         relaxed = base.with_schedule(
             SweepSchedule.from_phases(
                 [SweepPhase(Corner.NORTH_WEST, FillClass.NONE)] * 7
@@ -225,8 +224,8 @@ class TestPrecedenceStructure:
             )
         )
         grid = ProcessorGrid(4, 4)
-        t_relaxed = simulate_wavefront(relaxed, xt4_single, grid=grid, simulate_nonwavefront=False)
-        t_strict = simulate_wavefront(strict, xt4_single, grid=grid, simulate_nonwavefront=False)
+        t_relaxed = simulate_wavefront(relaxed, xt4_single, grid=grid)
+        t_strict = simulate_wavefront(strict, xt4_single, grid=grid)
         assert t_strict.makespan_us > t_relaxed.makespan_us
 
 

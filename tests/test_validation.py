@@ -1,7 +1,10 @@
 """Tests for repro.validation (model vs simulator comparison harness)."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.apps.base import NoNonWavefront
 from repro.apps.chimaera import chimaera
 from repro.apps.lu import lu
 from repro.apps.sweep3d import Sweep3DConfig, sweep3d
@@ -13,7 +16,6 @@ from repro.validation.compare import (
     diff_backends,
     validate_allreduce,
     validate_configuration,
-    validate_matrix,
 )
 
 
@@ -53,8 +55,8 @@ class TestValidateConfiguration:
 
     def test_without_nonwavefront_phase(self, problem, xt4_single):
         result = validate_configuration(
-            chimaera(problem, iterations=1), xt4_single, total_cores=16,
-            simulate_nonwavefront=False,
+            replace(chimaera(problem, iterations=1), nonwavefront=NoNonWavefront()),
+            xt4_single, total_cores=16,
         )
         assert result.absolute_relative_error < 0.05
 
@@ -65,13 +67,13 @@ class TestValidateConfiguration:
         assert result.cores_per_node == 2
 
 
-class TestValidateMatrix:
+class TestValidationMatrix:
     def test_summary_statistics(self, problem, xt4_single):
         cases = [
             (lu(problem, iterations=1), xt4_single, 16),
             (chimaera(problem, iterations=1), xt4_single, 16),
         ]
-        summary = validate_matrix(cases)
+        summary = diff_backends(cases)
         assert len(summary.results) == 2
         assert summary.max_error >= summary.mean_error >= 0
         assert summary.worst() in summary.results
@@ -81,7 +83,7 @@ class TestValidateMatrix:
             (lu(problem, iterations=1), xt4_single, 16),
             (chimaera(problem, iterations=1), xt4_single, 16),
         ]
-        summary = validate_matrix(cases)
+        summary = diff_backends(cases)
         lu_only = summary.by_application("lu")
         assert len(lu_only.results) == 1
         assert lu_only.results[0].application == "lu"
@@ -100,7 +102,7 @@ class TestValidateMatrix:
             (chimaera(problem, iterations=1), xt4_single, 64),
             (sweep3d(problem, config=Sweep3DConfig(mk=4), iterations=1), xt4_single, 64),
         ]
-        summary = validate_matrix(cases)
+        summary = diff_backends(cases)
         assert summary.by_application("lu").max_error < 0.05
         assert summary.max_error < 0.10
 
@@ -117,13 +119,6 @@ class TestDiffBackends:
         )
         assert summary.max_error <= 1e-9
 
-    def test_defaults_match_validate_matrix(self, problem, xt4_single):
-        cases = [(lu(problem, iterations=1), xt4_single, 16)]
-        diffed = diff_backends(cases)
-        classic = validate_matrix(cases)
-        assert diffed.results[0].model_us == classic.results[0].model_us
-        assert diffed.results[0].simulated_us == classic.results[0].simulated_us
-
     def test_accepts_prediction_requests(self, problem, xt4_single):
         requests = [
             PredictionRequest(chimaera(problem, iterations=1), xt4_single, total_cores=16)
@@ -131,72 +126,13 @@ class TestDiffBackends:
         summary = diff_backends(requests)
         assert summary.results[0].total_cores == 16
 
-    def test_simulator_candidate_respects_nonwavefront_toggle(self, problem, xt4_single):
-        """A SimulatorBackend candidate is reconfigured to exclude the
-        non-wavefront phase along with the baseline, not half-applied."""
-        from repro.backends import SimulatorBackend
-
-        result = validate_configuration(
-            chimaera(problem, iterations=1),
-            xt4_single,
-            total_cores=16,
-            simulate_nonwavefront=False,
-            model_backend=SimulatorBackend(),
-        )
-        # Same engine, same configuration on both sides: exact agreement.
-        assert result.relative_error == 0.0
-
-    def test_vec_candidate_subtracts_its_nonwavefront_phase(self):
-        """Batch-priced analytic results have their "nonwavefront" phase
-        subtracted: the scalar model's time minus its Tnonwavefront term,
-        priced one point at a time."""
-        from repro.apps.workloads import lu_class
-        from repro.core.predictor import predict
-        from repro.platforms import cray_xt4
-
-        cases = [(lu_class("A"), cray_xt4(), 16), (lu_class("A"), cray_xt4(), 64)]
-        reference = []
-        for spec, platform, cores in cases:
-            scalar = predict(spec, platform, total_cores=cores, method="fast")
-            reference.append(scalar.time_per_iteration_us - scalar.iteration.tnonwavefront)
-        vec = validate_matrix(cases, simulate_nonwavefront=False, model_backend="analytic-vec")
-        assert [r.model_us for r in vec.results] == reference
-        single = validate_configuration(
-            lu_class("A"), cray_xt4(), total_cores=16,
-            simulate_nonwavefront=False, model_backend="analytic-vec",
-        )
-        assert single.model_us == reference[0]
-
-    def test_unadjustable_candidate_with_nonwavefront_off_rejected(self, problem, xt4_single):
-        """A backend that can neither subtract Tnonwavefront nor be
-        reconfigured fails loudly instead of comparing mismatched phases."""
-        from repro.backends import get_backend
-
-        class OpaqueBackend:
-            name = "opaque"
-
-            def evaluate(self, spec, platform, grid, core_mapping=None):
-                inner = get_backend("simulator").evaluate(
-                    spec, platform, grid, core_mapping
-                )
-                return inner  # carries no "nonwavefront" phase
-
-        with pytest.raises(ValueError, match="simulate_nonwavefront"):
-            validate_configuration(
-                chimaera(problem, iterations=1),
-                xt4_single,
-                total_cores=16,
-                simulate_nonwavefront=False,
-                model_backend=OpaqueBackend(),
-            )
-
     def test_matrix_with_workers_matches_serial(self, problem, xt4_single):
         cases = [
             (lu(problem, iterations=1), xt4_single, 16),
             (chimaera(problem, iterations=1), xt4_single, 16),
         ]
-        serial = validate_matrix(cases)
-        pooled = validate_matrix(cases, workers=2)
+        serial = diff_backends(cases)
+        pooled = diff_backends(cases, workers=2)
         assert [r.model_us for r in serial.results] == [
             r.model_us for r in pooled.results
         ]
