@@ -13,7 +13,7 @@ from conftest import emit
 
 from repro.apps.chimaera import chimaera
 from repro.core.decomposition import ProblemSize, ProcessorGrid
-from repro.core.model import iteration_prediction, stack_time
+from repro.core.model import iteration_prediction
 from repro.core.multicore import contention_penalty
 from repro.platforms import cray_xt4
 from repro.simulator.wavefront import simulate_wavefront

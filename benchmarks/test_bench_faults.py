@@ -37,7 +37,7 @@ from repro.core import model_vec
 from repro.core.decomposition import decompose
 from repro.core.faults import FaultModel
 from repro.core.predictor import clear_prediction_cache, predict
-from repro.platforms import cray_xt4, parse_fault_model
+from repro.platforms import parse_fault_model
 from repro.util.tables import Table
 
 TOTAL_CORES = 16

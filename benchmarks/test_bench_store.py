@@ -12,7 +12,14 @@ this benchmark pins each one down with a number in ``BENCH_store.json``:
   benchmark measures the records/s against one-record-per-commit writes
   (the before/after of the runner change) and asserts the speedup.
 
-Both comparisons run ``ROUNDS`` alternating rounds and compare the median
+* **compact v3 lines are smaller and cheaper to write**: the same results
+  are put the way the campaign runner writes them (``ComputedPoint``
+  records, encoded as compact v3 lines, one ``DEFAULT_BATCH_SIZE`` chunk per
+  ``put_many``) and as the v2 dicts ``result_record`` builds, each into a
+  fresh store; the record keeps bytes and ``put_many`` microseconds per
+  record of both sides.
+
+Each comparison runs ``ROUNDS`` alternating rounds and compares the median
 time of each side, so one round slowed by a collection or a busy disk
 cannot decide the ratio.
 * **shard merge wall-clock**: folding the scratch stores of a sharded run
@@ -40,7 +47,10 @@ from pathlib import Path
 
 from conftest import emit, write_record
 
+from repro.backends.service import predict_many
 from repro.campaigns import CampaignSpec, ResultStore, run_campaign
+from repro.campaigns.records import ComputedPoint, result_record
+from repro.campaigns.runner import DEFAULT_BATCH_SIZE
 from repro.campaigns.segments import SEGMENT_NAMES
 from repro.util.tables import Table
 
@@ -58,6 +68,24 @@ MIN_PUT_MANY_SPEEDUP = 3.0
 #: is its median round.
 ROUNDS = 5
 MERGE_SHARDS = 4
+
+#: The record-format comparison: two runner-sized chunks of design-study
+#: results (three applications on single- and quad-chip XT4 nodes, plain
+#: and with a straggler, 16 core counts, 11 tile heights).
+FORMAT_SPEC = CampaignSpec(
+    name="store-format",
+    apps=("lu-classA", "sweep3d-20m", "chimaera-240"),
+    platforms=("cray-xt4", "cray-xt4-quad-chip"),
+    total_cores=(
+        16, 32, 64, 128, 144, 256, 512, 576, 1024, 1152, 2048, 2304, 4096, 4608, 8192, 16384
+    ),
+    htiles=(0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0),
+    backends=("analytic-vec",),
+    speed_profiles=("none", "stragglers:1x2.0"),
+)
+FORMAT_RECORDS = 2 * DEFAULT_BATCH_SIZE
+#: Compact v3 lines hold the point and five result fields, not fifteen.
+MAX_V3_BYTES_PER_RECORD = 500
 
 #: The kill/resume campaign: enough moderately-priced simulator points that
 #: a SIGKILL reliably lands mid-run, spread over 4 worker processes.
@@ -171,6 +199,54 @@ def _measure_commit_throughput() -> dict:
     }
 
 
+def _segment_bytes(path: Path) -> int:
+    return sum(segment.stat().st_size for segment in path.glob("seg-*.jsonl"))
+
+
+def _measure_record_format() -> dict:
+    """Bytes and ``put_many`` time per record, v3 lines against v2 dicts.
+
+    Both sides put the same priced results in ``DEFAULT_BATCH_SIZE``
+    chunks into a fresh store, building each record as ``put_many`` consumes
+    it, the way the runner does: a ``ComputedPoint`` for v3, and for v2 the
+    ``result_record`` dict that runners wrote before v3 lines existed.
+    """
+    points = FORMAT_SPEC.points()[:FORMAT_RECORDS]
+    assert len(points) == FORMAT_RECORDS
+    keys = [point.key() for point in points]
+    results = predict_many([point.request() for point in points], backend="analytic-vec")
+    build = {"v3": ComputedPoint, "v2": result_record}
+    root = Path(tempfile.mkdtemp(prefix="bench-store-"))
+    seconds: dict[str, list[float]] = {"v3": [], "v2": []}
+    bytes_per_record = {}
+    for index in range(ROUNDS):
+        for side in ("v3", "v2") if index % 2 == 0 else ("v2", "v3"):
+            store = ResultStore(root / f"{side}-{index}.store")
+            start = time.perf_counter()
+            for first in range(0, FORMAT_RECORDS, DEFAULT_BATCH_SIZE):
+                chunk = slice(first, first + DEFAULT_BATCH_SIZE)
+                store.put_many(
+                    (key, build[side](point, result))
+                    for key, point, result in zip(keys[chunk], points[chunk], results[chunk])
+                )
+            seconds[side].append(time.perf_counter() - start)
+            assert len(store) == FORMAT_RECORDS
+            bytes_per_record[side] = _segment_bytes(store.path) / FORMAT_RECORDS
+            store.close()
+    v3_us, v2_us = (
+        1e6 * statistics.median(seconds[side]) / FORMAT_RECORDS for side in ("v3", "v2")
+    )
+    return {
+        "records": FORMAT_RECORDS,
+        "batch_records": DEFAULT_BATCH_SIZE,
+        "v3_bytes_per_record": bytes_per_record["v3"],
+        "v2_bytes_per_record": bytes_per_record["v2"],
+        "v3_put_many_us_per_record": v3_us,
+        "v2_put_many_us_per_record": v2_us,
+        "v3_to_v2_time": v3_us / v2_us,
+    }
+
+
 def _measure_shard_merge() -> dict:
     root = Path(tempfile.mkdtemp(prefix="bench-store-"))
     main_store = ResultStore(root / "merged.store")
@@ -271,6 +347,7 @@ def _measure_kill_resume() -> dict:
 def test_store_open_commit_and_resume_contracts(benchmark, update_bench):
     open_stats = _measure_open_ratio()
     commit_stats = _measure_commit_throughput()
+    format_stats = _measure_record_format()
     merge_stats = _measure_shard_merge()
     kill_stats = _measure_kill_resume()
 
@@ -289,6 +366,12 @@ def test_store_open_commit_and_resume_contracts(benchmark, update_bench):
         "group commit (rec/s)", round(commit_stats["group_commit_records_per_s"])
     )
     table.add_row("put_many speedup", round(commit_stats["put_many_speedup"], 1))
+    for side in ("v3", "v2"):
+        table.add_row(
+            f"{side} record (B / put_many us)",
+            f"{format_stats[f'{side}_bytes_per_record']:.0f} / "
+            f"{format_stats[f'{side}_put_many_us_per_record']:.1f}",
+        )
     table.add_row(
         f"{MERGE_SHARDS}-shard merge (s)", round(merge_stats["wall_s"], 3)
     )
@@ -306,16 +389,22 @@ def test_store_open_commit_and_resume_contracts(benchmark, update_bench):
         "per-record commits"
     )
     assert kill_stats["rerun_computed"] == 0
+    assert format_stats["v3_bytes_per_record"] <= MAX_V3_BYTES_PER_RECORD
+    assert format_stats["v3_to_v2_time"] < 1.0, (
+        f"v3 lines took {format_stats['v3_to_v2_time']:.2f}x the v2 time per record"
+    )
 
     record = {
         "benchmark": "store",
         "rounds": ROUNDS,
         **open_stats,
         **commit_stats,
+        "record_format": format_stats,
         "shard_merge": merge_stats,
         "kill_resume": kill_stats,
         "contract_min_open_ratio": MIN_OPEN_RATIO,
         "contract_min_put_many_speedup": MIN_PUT_MANY_SPEEDUP,
+        "contract_max_v3_bytes_per_record": MAX_V3_BYTES_PER_RECORD,
     }
     write_record(RECORD_PATH, record, update_bench)
 

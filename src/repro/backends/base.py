@@ -30,6 +30,7 @@ __all__ = [
     "BatchPredictionBackend",
     "PredictionBackend",
     "PredictionRequest",
+    "derived_fields",
 ]
 
 
@@ -129,6 +130,50 @@ class PredictionRequest:
         return (self.spec, self.platform, grid, mapping)
 
 
+def _run_length_us(
+    time_per_iteration_us: float, iterations_per_time_step: int, time_steps: int
+) -> Tuple[float, float]:
+    """``(time per time step, total time)`` in µs, from the iteration time."""
+    step_us = time_per_iteration_us * iterations_per_time_step
+    return step_us, step_us * time_steps
+
+
+def derived_fields(
+    time_per_iteration_us: float,
+    computation_per_iteration_us: float,
+    pipeline_fill_per_iteration_us: Optional[float],
+    iterations_per_time_step: int,
+    time_steps: int,
+) -> Tuple[float, float, Optional[float], float, float, float]:
+    """The six quantities a result derives from its three per-iteration times.
+
+    Returns ``(computation_fraction, communication_fraction,
+    pipeline_fill_fraction, time_per_time_step_s, total_time_s,
+    total_time_days)``.  This is the one copy of that arithmetic:
+    :class:`BackendResult`'s properties and the expansion of a compact
+    campaign store record (:mod:`repro.campaigns.records`) both call it, so
+    the two agree bit for bit.
+
+    >>> derived_fields(200.0, 150.0, None, 4, 10)
+    (0.75, 0.25, None, 0.0008, 0.008, 9.259259259259259e-08)
+    """
+    computation_fraction = safe_ratio(computation_per_iteration_us, time_per_iteration_us)
+    step_us, total_us = _run_length_us(
+        time_per_iteration_us, iterations_per_time_step, time_steps
+    )
+    total_s = us_to_seconds(total_us)
+    return (
+        computation_fraction,
+        1.0 - computation_fraction,
+        None
+        if pipeline_fill_per_iteration_us is None
+        else safe_ratio(pipeline_fill_per_iteration_us, time_per_iteration_us),
+        us_to_seconds(step_us),
+        total_s,
+        seconds_to_days(total_s),
+    )
+
+
 @dataclass(frozen=True)
 class BackendResult:
     """A backend's per-iteration prediction plus run-length aggregates.
@@ -179,19 +224,27 @@ class BackendResult:
         """Everything that is not computation, the paper's convention."""
         return self.time_per_iteration_us - self.computation_per_iteration_us
 
+    def derived_fields(self) -> Tuple[float, float, Optional[float], float, float, float]:
+        """The six :func:`derived_fields` of this result, in that order."""
+        return derived_fields(
+            self.time_per_iteration_us,
+            self.computation_per_iteration_us,
+            self.pipeline_fill_per_iteration_us,
+            self.iterations_per_time_step,
+            self.spec.time_steps,
+        )
+
     @property
     def computation_fraction(self) -> float:
-        return safe_ratio(self.computation_per_iteration_us, self.time_per_iteration_us)
+        return self.derived_fields()[0]
 
     @property
     def communication_fraction(self) -> float:
-        return 1.0 - self.computation_fraction
+        return self.derived_fields()[1]
 
     @property
     def pipeline_fill_fraction(self) -> Optional[float]:
-        if self.pipeline_fill_per_iteration_us is None:
-            return None
-        return safe_ratio(self.pipeline_fill_per_iteration_us, self.time_per_iteration_us)
+        return self.derived_fields()[2]
 
     # -- run-length aggregates -------------------------------------------------------
 
@@ -205,23 +258,28 @@ class BackendResult:
 
     @property
     def time_per_time_step_us(self) -> float:
-        return self.time_per_iteration_us * self.iterations_per_time_step
+        return self._run_length_us()[0]
 
     @property
     def time_per_time_step_s(self) -> float:
-        return us_to_seconds(self.time_per_time_step_us)
+        return self.derived_fields()[3]
 
     @property
     def total_time_us(self) -> float:
-        return self.time_per_time_step_us * self.spec.time_steps
+        return self._run_length_us()[1]
 
     @property
     def total_time_s(self) -> float:
-        return us_to_seconds(self.total_time_us)
+        return self.derived_fields()[4]
 
     @property
     def total_time_days(self) -> float:
-        return seconds_to_days(self.total_time_s)
+        return self.derived_fields()[5]
+
+    def _run_length_us(self) -> Tuple[float, float]:
+        return _run_length_us(
+            self.time_per_iteration_us, self.iterations_per_time_step, self.spec.time_steps
+        )
 
     def summary(self) -> dict[str, object]:
         """A flat dictionary of the headline numbers, for reports and JSON."""

@@ -22,6 +22,11 @@ reportable:
     content hashes, so re-runs and interrupted campaigns compute only the
     delta; single-file v1 stores migrate in place on first open.
 
+**Records** (:mod:`repro.campaigns.records`)
+    The two record-line shapes: the runner writes each computed point as a
+    compact v3 line, which reads back expanded into the same record a v2
+    line holds, so every reader sees one shape.
+
 **Runner** (:mod:`repro.campaigns.runner`)
     :class:`CampaignRunner` diffs the spec against the store and batches the
     missing points through :func:`repro.backends.service.predict_many` (one

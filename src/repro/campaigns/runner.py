@@ -10,9 +10,12 @@ semantics on top:
    :class:`~repro.campaigns.store.ResultStore` (this is what makes re-runs
    free and interrupted campaigns resumable);
 3. batch the remaining points through ``predict_many`` - one call per
-   backend group, chunked so results land on disk incrementally - and
-   group-commit each chunk via :meth:`ResultStore.put_many` (one fsync per
-   touched segment per chunk, not one per record);
+   backend group, chunked so results land on disk incrementally, with the
+   points of one machine (platform, scenario, placement, core count) next
+   to each other so a chunk's points share their fold walks - and
+   group-commit each chunk via :meth:`ResultStore.put_many` as compact v3
+   lines (:mod:`repro.campaigns.records`; one fsync per touched segment
+   per chunk, not one per record);
 4. with ``shards=K``, partition the pending points across ``K`` worker
    *processes* by stable content-hash (:func:`repro.campaigns.spec.shard_of`).
    Each worker writes its own scratch store under ``<store>/shards/``; the
@@ -39,8 +42,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional, Sequence, Union
 
-from repro.backends.base import BackendResult
 from repro.backends.service import predict_many
+from repro.campaigns.records import ComputedPoint, result_record
 from repro.campaigns.spec import CampaignPoint, CampaignSpec, partition_points
 from repro.campaigns.store import ResultStore, as_store, default_store_path
 
@@ -58,33 +61,20 @@ __all__ = [
 DEFAULT_BATCH_SIZE = 1024
 
 
-def result_record(point: CampaignPoint, result: BackendResult) -> dict[str, Any]:
-    """The JSON-serialisable store record for one evaluated point.
+def _machine(point: CampaignPoint) -> tuple:
+    """The machine a point runs on: platform, scenario, placement and size.
 
-    Carries the point definition plus every quantity the reporting layer
-    needs (per-iteration times, fractions and the run-length aggregates), so
-    reports can be regenerated from the store alone.
+    Points that share it share their fold walks when they are priced in one
+    batch, whatever their application and tile height.
     """
-    return {
-        "point": point.to_dict(),
-        "result": {
-            "backend": result.backend,
-            "application": result.spec.name,
-            "platform": result.platform.name,
-            "processors": result.grid.total_processors,
-            "grid": f"{result.grid.n}x{result.grid.m}",
-            "cores_per_node": result.core_mapping.cores_per_node,
-            "time_per_iteration_us": result.time_per_iteration_us,
-            "computation_per_iteration_us": result.computation_per_iteration_us,
-            "pipeline_fill_per_iteration_us": result.pipeline_fill_per_iteration_us,
-            "time_per_time_step_s": result.time_per_time_step_s,
-            "total_time_s": result.total_time_s,
-            "total_time_days": result.total_time_days,
-            "computation_fraction": result.computation_fraction,
-            "communication_fraction": result.communication_fraction,
-            "pipeline_fill_fraction": result.pipeline_fill_fraction,
-        },
-    }
+    return (
+        point.platform,
+        point.speed_profile or "",
+        point.noise_model or "",
+        point.fault_model or "",
+        point.placement or "",
+        point.total_cores,
+    )
 
 
 @dataclass(frozen=True)
@@ -144,6 +134,8 @@ def _compute_into(
 
     for indices in groups.values():
         backend = pending[indices[0]][1].backend_spec()
+        # Chunks cut from machine order keep each machine's points together.
+        indices.sort(key=lambda index: _machine(pending[index][1]))
         for start in range(0, len(indices), batch_size):
             chunk = indices[start : start + batch_size]
             results = predict_many(
@@ -152,7 +144,7 @@ def _compute_into(
                 workers=workers,
             )
             store.put_many(
-                (pending[index][0], result_record(pending[index][1], result))
+                (pending[index][0], ComputedPoint(pending[index][1], result))
                 for index, result in zip(chunk, results)
             )
 

@@ -19,7 +19,13 @@ key, so a million-point store spreads across 16 independent append-only logs.
 Each segment carries a plain-text **index sidecar** mapping keys to byte
 ranges; opening a store parses only the sidecars (O(index)), never the JSON
 record bodies, and individual records are fetched by ``seek`` + single-line
-parse on demand.
+parse on demand (:meth:`SegmentLog.read`), or as raw bytes
+(:meth:`SegmentLog.read_raw`) when a shard merge copies them unchanged.
+
+This layer needs only that a record line be one JSON object with a string
+``key``, ending in a newline.  What else the line holds - the v2 and v3
+record shapes - belongs to :mod:`repro.campaigns.records`, so both shapes
+are indexed, repaired, salvaged and compacted alike.
 
 Durability protocol (per batch, per segment):
 
@@ -47,9 +53,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 try:  # pragma: no cover - fcntl is always present on the POSIX CI targets
     import fcntl
@@ -82,8 +87,7 @@ class SegmentCorruption(ValueError):
     """A segment (or legacy store file) holds an unparsable interior line."""
 
 
-@dataclass(frozen=True)
-class IndexEntry:
+class IndexEntry(NamedTuple):
     """One sidecar row: where a record's line lives inside its segment."""
 
     key: str
@@ -271,11 +275,15 @@ class SegmentLog:
             self._read_handles[name] = handle
         return handle
 
-    def read(self, entry: IndexEntry) -> dict[str, Any]:
-        """Fetch and parse exactly one record line."""
+    def read_raw(self, entry: IndexEntry) -> bytes:
+        """Fetch exactly one record line, newline included, unparsed."""
         handle = self._reader(entry.segment)
         handle.seek(entry.offset)
-        raw = handle.read(entry.length)
+        return handle.read(entry.length)
+
+    def read(self, entry: IndexEntry) -> dict[str, Any]:
+        """Fetch and parse exactly one record line."""
+        raw = self.read_raw(entry)
         try:
             record = json.loads(raw)
         except json.JSONDecodeError as exc:
@@ -294,18 +302,19 @@ class SegmentLog:
 
     # -- writing ---------------------------------------------------------------------
 
-    def append(self, items: Sequence[tuple[str, bytes]]) -> list[IndexEntry]:
+    def append(self, items: Iterable[tuple[str, bytes]]) -> list[IndexEntry]:
         """Group-commit ``(key, line)`` pairs: one lock + fsync per segment.
 
         ``line`` must be a complete JSON document ending in a newline.  The
-        entries are returned in input order so callers can update their
-        in-memory index without re-reading anything.
+        entries come back segment by segment, in input order within each,
+        so callers can update their in-memory index without re-reading
+        anything.
         """
         self.ensure_layout()
         by_segment: dict[str, list[tuple[str, bytes]]] = {}
-        for key, line in items:
-            by_segment.setdefault(segment_of(key), []).append((key, line))
-        placed: dict[str, IndexEntry] = {}
+        for item in items:
+            by_segment.setdefault(segment_of(item[0]), []).append(item)
+        placed: list[IndexEntry] = []
         # Locks are taken in sorted segment order, so concurrent put_many
         # calls can never deadlock against each other.
         for name in sorted(by_segment):
@@ -313,28 +322,24 @@ class SegmentLog:
             with self.segment_path(name).open("ab") as seg:
                 self._lock(seg)
                 try:
-                    base = os.fstat(seg.fileno()).st_size
-                    blob = bytearray()
+                    offset = os.fstat(seg.fileno()).st_size
                     entries = []
                     for key, line in batch:
-                        entries.append(
-                            IndexEntry(key, name, base + len(blob), len(line))
-                        )
-                        blob += line
-                    seg.write(bytes(blob))
+                        entries.append(IndexEntry(key, name, offset, len(line)))
+                        offset += len(line)
+                    seg.write(b"".join([line for _key, line in batch]))
                     seg.flush()
                     os.fsync(seg.fileno())
                     with self.sidecar_path(name).open("ab") as idx:
                         idx.write(
-                            "".join(e.sidecar_line() for e in entries).encode("ascii")
+                            "".join([entry.sidecar_line() for entry in entries]).encode("ascii")
                         )
                         idx.flush()
                         os.fsync(idx.fileno())
                 finally:
                     self._unlock(seg)
-                for entry in entries:
-                    placed[entry.key] = entry
-        return [placed[key] for key, _ in items]
+            placed += entries
+        return placed
 
     @staticmethod
     def _lock(handle) -> None:

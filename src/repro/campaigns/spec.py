@@ -38,6 +38,7 @@ from repro.apps.workloads import standard_workloads
 from repro.backends.base import PredictionRequest
 from repro.backends.registry import BackendSpec
 from repro.backends.simulator import SimulatorBackend
+from repro.campaigns.records import canonical_json
 from repro.platforms import (
     get_platform,
     parse_fault_model,
@@ -196,8 +197,12 @@ class CampaignPoint:
     fault_seed: Optional[int] = None
 
     def key(self) -> str:
-        """Stable content hash identifying this configuration in a store."""
-        canonical = json.dumps(self.to_dict(), sort_keys=True)
+        """Stable content hash identifying this configuration in a store.
+
+        The hash covers :func:`~repro.campaigns.records.canonical_json` of
+        :meth:`to_dict`: the same bytes a v3 store line holds as its point.
+        """
+        canonical = canonical_json(self.to_dict())
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
     def to_dict(self) -> dict[str, Any]:

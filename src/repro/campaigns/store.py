@@ -21,6 +21,16 @@ group-committed: :meth:`ResultStore.put_many` pays one ``fsync`` per touched
 segment per batch instead of one per record.  Record lines stay plain JSON,
 so segments remain inspectable with ``grep``/``jq``.
 
+Record lines come in two shapes, both owned by :mod:`repro.campaigns.records`.
+The campaign runner writes a computed point as a compact v3 line (the key,
+the point's canonical JSON, its labels, two run-length integers and three
+per-iteration floats); a plain dict handed to :meth:`ResultStore.put_many`
+is written as a v2 line holding the whole record.  :meth:`ResultStore.get`
+and :meth:`ResultStore.records` expand a v3 line into the same v2 record
+(:func:`repro.campaigns.records.expand_line`) and return a v2 line as it
+was written, so readers see one record shape and nothing migrates.
+:meth:`ResultStore.merge_from` copies lines as raw bytes, keeping their shape.
+
 Corrupt lines never cost more than themselves: intact records around a torn
 or garbled line are salvaged, the garbage is quarantined into
 ``<store>/quarantine.jsonl`` with a one-line warning, and ``strict=True``
@@ -43,10 +53,12 @@ from __future__ import annotations
 import json
 import logging
 import os
+import re
 import shutil
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, Optional, Tuple, Union
+from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.campaigns.records import ComputedPoint, encode_line, expand_line
 from repro.campaigns.segments import (
     STORE_VERSION,
     SegmentCorruption,
@@ -75,6 +87,9 @@ _HEADER_NAME = "header.json"
 
 #: Where a legacy single-file store is preserved after migration.
 _LEGACY_BACKUP_NAME = "legacy-v1.jsonl.migrated"
+
+#: What a store key must not contain: any character ``str.isspace`` accepts.
+_WHITESPACE = re.compile(r"\s")
 
 
 def find_project_root(start: Optional[Union[str, Path]] = None) -> Optional[Path]:
@@ -143,9 +158,11 @@ class ResultStore:
     index, one fsync per touched segment), and :meth:`put` is the
     single-record convenience on top.
 
-    Record lines have ``{"kind": "result", "key": ..., "point": ...,
-    "result": ...}`` - the same shape as the version-1 format; the campaign
-    definition lives in the store's ``header.json`` (latest wins).
+    Every record reads back as ``{"kind": "result", "key": ..., "point":
+    ..., "result": ...}`` - the same shape as the version-1 format - whether
+    its line is a v2 or a compact v3 one (see :mod:`repro.campaigns.records`);
+    the campaign definition lives in the store's ``header.json`` (latest
+    wins).
 
     ``strict=True`` makes corrupt lines fail the open loudly; the default
     salvages every intact record and quarantines the garbage.
@@ -211,12 +228,7 @@ class ResultStore:
             shutil.rmtree(tmp)
         staged = SegmentLog(tmp)
         staged.ensure_layout()
-        staged.append(
-            [
-                (key, (json.dumps(entry, sort_keys=True) + "\n").encode("utf-8"))
-                for key, entry in records
-            ]
-        )
+        staged.append([(key, encode_line(key, entry)) for key, entry in records])
         if bad_lines:
             with staged.quarantine_path.open("a", encoding="utf-8") as handle:
                 for line_number, raw in bad_lines:
@@ -253,12 +265,13 @@ class ResultStore:
         entry = self._index.get(key)
         if entry is None:
             return None
-        return self._segments.read(entry)
+        return expand_line(self._segments.read(entry))
 
     def records(self) -> Iterator[dict[str, Any]]:
         """All stored result records, streamed segment by segment."""
+        read = self._segments.read
         for entry in self._index.values():
-            yield self._segments.read(entry)
+            yield expand_line(read(entry))
 
     @property
     def spec_dict(self) -> Optional[dict[str, Any]]:
@@ -289,60 +302,64 @@ class ResultStore:
         _write_header(self.path, spec_dict)
         self._spec = spec_dict
 
-    def put(self, key: str, record: Mapping[str, Any]) -> None:
+    def put(self, key: str, record: Union[ComputedPoint, Mapping[str, Any]]) -> None:
         """Persist one result record under ``key`` (idempotent per key)."""
         self.put_many([(key, record)])
 
-    def put_many(self, items: Iterable[Tuple[str, Mapping[str, Any]]]) -> int:
+    def put_many(
+        self, items: Iterable[Tuple[str, Union[ComputedPoint, Mapping[str, Any]]]]
+    ) -> int:
         """Group-commit a batch of ``(key, record)`` pairs; returns how many
         were new.
 
-        Keys already present (in the store or earlier in the same batch)
-        are skipped, so the call is idempotent.  The whole batch costs one
-        ``flush`` + ``fsync`` per touched segment - this is the campaign
-        runner's throughput path - while a crash mid-call never loses
-        previously committed batches.
+        A :class:`~repro.campaigns.records.ComputedPoint` record is written
+        as a compact v3 line, any other mapping as a v2 line.  Keys already
+        present (in the store or earlier in the same batch) are skipped, so
+        the call is idempotent.  The whole batch costs one ``flush`` +
+        ``fsync`` per touched segment - this is the campaign runner's
+        throughput path - while a crash mid-call never loses previously
+        committed batches.
         """
         batch: list[tuple[str, bytes]] = []
         staged: set[str] = set()
+        index, has_space = self._index, _WHITESPACE.search
         for key, record in items:
-            if key in self._index or key in staged:
+            if key in index or key in staged:
                 continue
-            if not key or any(c.isspace() for c in key):
+            if not key or has_space(key):
                 raise ValueError(f"store keys must be non-empty and space-free: {key!r}")
-            entry = {"kind": "result", "key": key}
-            entry.update(
-                (k, v) for k, v in record.items() if k not in ("kind", "key")
-            )
-            batch.append(
-                (key, (json.dumps(entry, sort_keys=True) + "\n").encode("utf-8"))
-            )
+            batch.append((key, encode_line(key, record)))
             staged.add(key)
-        if not batch:
-            return 0
-        for placed in self._segments.append(batch):
-            self._index[placed.key] = placed
-        return len(batch)
+        return self._append(batch)
 
     def merge_from(self, other: Union[str, Path, "ResultStore"]) -> int:
         """Copy every record of ``other`` not already present; returns the
         count.  Used to fold shard-worker scratch stores into the main
-        store after (or while resuming) a fan-out run."""
+        store after (or while resuming) a fan-out run.
+
+        Lines are copied as raw bytes, never decoded and re-encoded, so a
+        v3 line stays a v3 line in the main store."""
         other = as_store(other)
         added = 0
-        batch: list[tuple[str, dict[str, Any]]] = []
-        for record in other.records():
-            key = record["key"]
+        batch: list[tuple[str, bytes]] = []
+        for key, entry in other._index.items():
             if key in self._index:
                 continue
-            batch.append((key, record))
+            batch.append((key, other._segments.read_raw(entry)))
             if len(batch) >= 4096:
-                added += self.put_many(batch)
+                added += self._append(batch)
                 batch = []
-        added += self.put_many(batch)
+        added += self._append(batch)
         if self._spec is None and other.spec_dict is not None:
             self.set_spec(other.spec_dict)
         return added
+
+    def _append(self, batch: Sequence[tuple[str, bytes]]) -> int:
+        """Group-commit encoded ``(key, line)`` pairs and index them."""
+        if not batch:
+            return 0
+        self._index.update((entry.key, entry) for entry in self._segments.append(batch))
+        return len(batch)
 
     # -- maintenance -----------------------------------------------------------------
 

@@ -145,7 +145,10 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     if args.htile is not None:
         spec = _htile_spec(spec, args.htile)
     if args.time_steps is not None:
-        spec = spec.with_time_steps(args.time_steps)
+        try:
+            spec = spec.with_time_steps(args.time_steps)
+        except ValueError as exc:
+            raise SystemExit(str(exc)) from exc
     platform = _scenario_platform(args)
     try:
         request = PredictionRequest(
@@ -192,9 +195,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             "baseline; --backend simulator would diff the simulator against "
             "itself (always 0% error). Choose an analytic backend instead."
         )
-    result = validate_configuration(
-        spec, platform, total_cores=args.cores, model_backend=model_backend
-    )
+    try:
+        result = validate_configuration(
+            spec, platform, total_cores=args.cores, model_backend=model_backend
+        )
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from exc
     if args.json:
         record = {
             "application": result.application,
@@ -225,14 +231,18 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_htile(args: argparse.Namespace) -> int:
     base = _workload(args.app)
     platform = _platform(args.platform)
-    study = htile_study(
-        partial(_htile_spec, base),
-        platform,
-        args.cores,
-        args.values,
-        backend=_resolve_backend(args),
-        workers=args.workers,
-    )
+    backend = _resolve_backend(args)
+    try:
+        study = htile_study(
+            partial(_htile_spec, base),
+            platform,
+            args.cores,
+            args.values,
+            backend=backend,
+            workers=args.workers,
+        )
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from exc
     table = Table(
         ["Htile", "time/time-step (s)", "fill fraction", "comm fraction"],
         title=f"Htile study: {study.application}, P={args.cores}",
@@ -318,13 +328,11 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 def _cmd_scaling(args: argparse.Namespace) -> int:
     spec = _workload(args.app)
     platform = _platform(args.platform)
-    curve = strong_scaling(
-        spec,
-        platform,
-        args.cores,
-        backend=_resolve_backend(args),
-        workers=args.workers,
-    )
+    backend = _resolve_backend(args)
+    try:
+        curve = strong_scaling(spec, platform, args.cores, backend=backend, workers=args.workers)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from exc
     table = Table(
         ["P", "total time (days)", "time/time-step (s)", "comm fraction"],
         title=f"strong scaling: {curve.application} on {curve.platform}",

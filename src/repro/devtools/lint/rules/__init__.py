@@ -16,4 +16,5 @@ from repro.devtools.lint.rules import (  # noqa: F401  (import-for-side-effect)
     rpr005_registry_docs,
     rpr006_exports,
     rpr007_hygiene,
+    rpr008_unused_imports,
 )

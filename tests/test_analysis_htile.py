@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis.htile import htile_study, optimal_htile
-from repro.apps.sweep3d import Sweep3DConfig
 from repro.apps.workloads import chimaera_240cubed, sweep3d_20m
 from repro.platforms import cray_xt4, ibm_sp2
 

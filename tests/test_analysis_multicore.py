@@ -5,7 +5,6 @@ import pytest
 from repro.analysis.bottleneck import communication_crossover, cost_breakdown
 from repro.analysis.multicore_design import cores_per_node_study, equivalent_node_counts
 from repro.apps.workloads import chimaera_240cubed, sweep3d_production_1billion
-from repro.platforms import cray_xt4
 
 
 @pytest.fixture

@@ -16,7 +16,7 @@ from repro.analysis.sensitivity import (
     sensitivity_study,
 )
 from repro.apps.chimaera import chimaera
-from repro.apps.workloads import chimaera_240cubed, chimaera_elongated
+from repro.apps.workloads import chimaera_240cubed
 from repro.core.decomposition import ProblemSize, ProcessorGrid
 from repro.core.predictor import predict
 

@@ -292,6 +292,8 @@ class TestStoreRecord:
                 "kill_resume": dict,
                 "contract_min_open_ratio": (int, float),
                 "contract_min_put_many_speedup": (int, float),
+                "record_format": dict,
+                "contract_max_v3_bytes_per_record": (int, float),
             },
         )
         assert record["benchmark"] == "store"
@@ -305,6 +307,19 @@ class TestStoreRecord:
             record["shard_merge"],
             "BENCH_store.json shard_merge",
             {"shards": int, "records": int, "wall_s": (int, float)},
+        )
+        _require(
+            record["record_format"],
+            "BENCH_store.json record_format",
+            {
+                "records": int,
+                "batch_records": int,
+                "v3_bytes_per_record": (int, float),
+                "v2_bytes_per_record": (int, float),
+                "v3_put_many_us_per_record": (int, float),
+                "v2_put_many_us_per_record": (int, float),
+                "v3_to_v2_time": (int, float),
+            },
         )
         _require(
             record["kill_resume"],
@@ -343,6 +358,23 @@ class TestStoreRecord:
         )
         assert record["put_many_speedup"] == pytest.approx(
             record["per_record_commit_s"] / record["group_commit_s"], rel=1e-9
+        )
+
+    def test_record_format_contract(self):
+        """Compact v3 lines stay under the byte budget and cost less to
+        write than v2 dicts of the same results, over runner-sized chunks."""
+        record = _load("BENCH_store.json")
+        formats = record["record_format"]
+        assert formats["records"] >= 2 * formats["batch_records"] >= 2048
+        assert record["contract_max_v3_bytes_per_record"] <= 500
+        assert formats["v3_bytes_per_record"] <= record["contract_max_v3_bytes_per_record"]
+        assert formats["v3_bytes_per_record"] < formats["v2_bytes_per_record"]
+        assert formats["v3_to_v2_time"] == pytest.approx(
+            formats["v3_put_many_us_per_record"] / formats["v2_put_many_us_per_record"],
+            rel=1e-9,
+        )
+        assert formats["v3_to_v2_time"] < 1.0, (
+            f"committed v3 put_many time is {formats['v3_to_v2_time']:.2f}x the v2 time"
         )
 
     def test_kill_resume_contract(self):

@@ -16,7 +16,7 @@ from repro.calibration.workrate import (
 )
 from repro.core.comm import total_comm_off_node, total_comm_on_chip
 from repro.core.decomposition import ProblemSize
-from repro.platforms import cray_xt4, ibm_sp2
+from repro.platforms import ibm_sp2
 from repro.platforms.xt4 import XT4_G, XT4_L, XT4_O
 from repro.simulator.pingpong import ping_pong_sweep
 

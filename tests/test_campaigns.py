@@ -11,6 +11,7 @@ import pytest
 
 from repro.backends.analytic import AnalyticBackend
 from repro.backends.registry import _FACTORIES, register_backend
+from repro.backends.service import predict_many
 from repro.campaigns import (
     CampaignRunner,
     CampaignSpec,
@@ -24,6 +25,8 @@ from repro.campaigns import (
     shard_of,
     write_report,
 )
+from repro.campaigns import runner as runner_module
+from repro.campaigns.records import result_record
 from repro.campaigns.segments import SegmentCorruption, segment_of
 from repro.campaigns.spec import CampaignPoint
 from repro.campaigns.store import (
@@ -292,6 +295,16 @@ class TestResultStore:
         with pytest.raises(ValueError, match="non-empty and space-free"):
             store.put("", {"result": {}})
 
+    @pytest.mark.parametrize(
+        "space", [" ", "\t", "\n", "\x1c", "\u00a0"],
+        ids=["space", "tab", "newline", "file-separator", "no-break-space"],
+    )
+    def test_put_rejects_every_whitespace_character(self, tmp_path, space):
+        store = ResultStore(tmp_path / "s.store")
+        with pytest.raises(ValueError, match="non-empty and space-free"):
+            store.put_many([("a0a0", {"result": {}}), (f"b1{space}b1", {"result": {}})])
+        assert len(store) == 0  # the batch is refused before anything is written
+
     def test_open_parses_sidecars_not_record_bodies(self, tmp_path):
         """Reopening trusts the index sidecars: a garbled body (same byte
         length, so the index still matches) goes unnoticed until read."""
@@ -513,6 +526,177 @@ class TestLegacyMigration:
         store = ResultStore(path)
         assert store.keys() == ["a111"]
         assert not store.quarantine_path.exists()
+
+
+# -- record formats --------------------------------------------------------------------
+
+#: A design-study matrix in the shape of the benchmark's: three applications
+#: on single-chip and quad-chip XT4 nodes, plain and with a straggler.
+_DESIGN = CampaignSpec(
+    name="design",
+    apps=("lu-classA", "sweep3d-20m", "chimaera-240"),
+    platforms=("cray-xt4", "cray-xt4-quad-chip"),
+    total_cores=(16, 64, 144, 1024, 4096),
+    htiles=(1.0, 2.5, 8.0),
+    backends=("analytic-vec",),
+    speed_profiles=("none", "stragglers:1x2.0"),
+)
+
+
+def _computed_records(spec: CampaignSpec) -> dict:
+    """``{key: record}`` for every point of ``spec``, priced outside the
+    runner and built with ``result_record``, as a store returns them."""
+    by_group: dict = {}
+    for point in spec.points():
+        by_group.setdefault(point.backend_group(), []).append(point)
+    records = {}
+    for points in by_group.values():
+        results = predict_many(
+            [point.request() for point in points], backend=points[0].backend_spec()
+        )
+        for point, result in zip(points, results):
+            key = point.key()
+            records[key] = {"key": key, "kind": "result", **result_record(point, result)}
+    return records
+
+
+def _raw_lines(store_path) -> list:
+    return [
+        line
+        for segment in sorted(store_path.glob("seg-*.jsonl"))
+        for line in segment.read_bytes().splitlines()
+    ]
+
+
+def _segment_lines(store_path) -> list:
+    return [json.loads(line) for line in _raw_lines(store_path)]
+
+
+def _report_files(store_path, out) -> dict:
+    write_report(ResultStore(store_path), out)
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+class TestCompactRecords:
+    @pytest.mark.parametrize(
+        "spec",
+        [_DESIGN, get_campaign("paper-validation").with_max_cores(16)],
+        ids=["design", "paper-validation-16"],
+    )
+    def test_store_returns_what_result_record_computes(self, tmp_path, spec):
+        """Every point's expanded v3 line equals ``result_record`` of the
+        point's result, on analytic records and on simulator ones (whose
+        fill is None)."""
+        path = tmp_path / "s.store"
+        run_campaign(spec, store=path, batch_size=64)
+        expected = _computed_records(spec)
+        store = ResultStore(path)
+        assert len(store) == len(expected)
+        for key, record in expected.items():
+            assert store.get(key) == record
+        assert {record["key"]: record for record in store.records()} == expected
+
+    def test_runner_writes_v3_lines_and_plain_dicts_stay_v2(self, tmp_path):
+        path = tmp_path / "s.store"
+        run_campaign(get_campaign("paper-validation").with_max_cores(16), store=path)
+        lines = _segment_lines(path)
+        assert lines and all(set(line) == {"key", "point", "v3"} for line in lines)
+        assert all(len(line["v3"]) == 11 for line in lines)
+        fills = {line["point"]["backend"]: line["v3"][-1] for line in lines}
+        assert fills["simulator"] is None and fills["analytic-fast"] > 0.0
+        assert max(len(raw) for raw in _raw_lines(path)) < 500
+
+        store = ResultStore(path)
+        store.put("f0f0", {"point": {}, "result": {"x": 1}})
+        plain = {"key": "f0f0", "kind": "result", "point": {}, "result": {"x": 1}}
+        assert store.get("f0f0") == plain
+        assert ResultStore(path).get("f0f0")["result"] == {"x": 1}
+
+    def test_v2_store_reads_back_the_same_records_and_report(self, tmp_path):
+        """The same results put as v2 dicts read back as the same dicts and
+        render the same report bytes as the runner's v3 lines."""
+        spec = get_campaign("paper-validation").with_max_cores(16)
+        v3_path = tmp_path / "v3.store"
+        run_campaign(spec, store=v3_path)
+        v3 = ResultStore(v3_path)
+        v2 = ResultStore(tmp_path / "v2.store")
+        v2.set_spec(spec.to_dict())
+        v2.put_many(
+            (record["key"], {"point": record["point"], "result": record["result"]})
+            for record in v3.records()
+        )
+        assert all("kind" in line for line in _segment_lines(v2.path))
+        reopened = ResultStore(v2.path)
+        assert {key: reopened.get(key) for key in reopened.keys()} == {
+            key: v3.get(key) for key in v3.keys()
+        }
+        assert _report_files(v2.path, tmp_path / "v2-report") == _report_files(
+            v3_path, tmp_path / "v3-report"
+        )
+
+    def test_torn_and_garbled_v3_lines_are_handled_like_v2(self, tmp_path):
+        path = tmp_path / "s.store"
+        run_campaign(_DESIGN, store=path)
+        segment = max(path.glob("seg-*.jsonl"), key=lambda seg: seg.stat().st_size)
+        lines = segment.read_bytes().splitlines(keepends=True)
+        assert len(lines) >= 3
+        first_key = json.loads(lines[0])["key"]
+        # A garbled interior line and a torn final one, then a forced rescan.
+        garbled = b"#" * (len(lines[1]) - 1) + b"\n"
+        segment.write_bytes(lines[0] + garbled + b"".join(lines[2:]) + lines[2][:40])
+        segment.with_suffix(".idx").unlink()
+        reopened = ResultStore(path)
+        assert reopened.quarantined == 1
+        assert len(reopened) == len(_DESIGN.points()) - 1
+        assert reopened.get(first_key)["result"]["time_per_iteration_us"] > 0.0
+        segment.with_suffix(".idx").unlink()
+        with pytest.raises(SegmentCorruption, match="unparsable line"):
+            ResultStore(path, strict=True)
+
+    def test_compact_keeps_v3_lines(self, tmp_path):
+        path = tmp_path / "s.store"
+        run_campaign(_DESIGN, store=path)
+        before = {record["key"]: record for record in ResultStore(path).records()}
+        raw_before = sorted(_raw_lines(path))
+        segment = next(path.glob("seg-*.jsonl"))
+        with segment.open("ab") as handle:
+            handle.write(b"garbage\n")
+        segment.with_suffix(".idx").unlink()
+        store = ResultStore(path)
+        assert store.quarantined == 1
+        stats = store.compact()
+        assert (stats["records"], stats["bytes_reclaimed"]) == (len(before), len(b"garbage\n"))
+        assert sorted(_raw_lines(path)) == raw_before
+        assert {record["key"]: record for record in ResultStore(path).records()} == before
+
+    def test_sharded_merge_copies_v3_lines_unchanged(self, tmp_path):
+        spec = replace(_DESIGN, total_cores=(16, 64))
+        serial = tmp_path / "serial.store"
+        run_campaign(spec, store=serial)
+        sharded = tmp_path / "sharded.store"
+        run_campaign(spec, store=sharded, shards=2)
+
+        assert sorted(_raw_lines(sharded)) == sorted(_raw_lines(serial))
+
+    def test_chunks_are_cut_in_machine_order(self, tmp_path, monkeypatch):
+        """Each chunk holds whole runs of one machine, so its quad-chip
+        points share their fold walks."""
+        chunks = []
+        original = runner_module.predict_many
+
+        def recording(requests, **kwargs):
+            chunks.append(
+                [(r.platform.name, r.platform.speed_profile, r.total_cores) for r in requests]
+            )
+            return original(requests, **kwargs)
+
+        monkeypatch.setattr(runner_module, "predict_many", recording)
+        run_campaign(_DESIGN, store=tmp_path / "s.store", batch_size=40)
+        machines = [machine for chunk in chunks for machine in chunk]
+        assert len(machines) == len(_DESIGN.points())
+        # Every machine's points are contiguous across the chunk sequence.
+        runs = [m for i, m in enumerate(machines) if i == 0 or machines[i - 1] != m]
+        assert len(runs) == len(set(machines))
 
 
 class TestDefaultStorePath:

@@ -103,6 +103,24 @@ class TestCommands:
         with pytest.raises(SystemExit, match="total_cores must be positive"):
             main(["predict", "--app", "chimaera-240", "--cores", "0"])
 
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            (["validate", "--cores", "0"], "total_cores must be positive"),
+            (["scaling", "--cores", "0,16"], "total_cores must be positive"),
+            (["htile", "--cores", "0"], "core and node counts must be positive"),
+            (
+                ["predict", "--cores", "16", "--time-steps", "0"],
+                "iterations, time_steps and energy_groups must be >= 1",
+            ),
+        ],
+        ids=["validate-cores", "scaling-cores", "htile-cores", "predict-time-steps"],
+    )
+    def test_out_of_range_numbers_exit_with_the_library_message(self, command, message):
+        with pytest.raises(SystemExit) as excinfo:
+            main(command + ["--app", "lu-classA"])
+        assert str(excinfo.value) == message
+
     def test_predict_htile_is_realised_like_campaigns(self, capsys):
         """Sweep3D heights come from integral ``mk`` blocking: 2.5 prices
         as the spec re-tiled to 2.5, and 2.2 is refused, as ``htile`` and

@@ -18,7 +18,6 @@ from repro.core.comm import (
     total_comm_off_node,
     total_comm_on_chip,
 )
-from repro.platforms import cray_xt4, cray_xt4_single_core, ibm_sp2
 from repro.platforms.xt4 import (
     XT4_G,
     XT4_G_COPY,

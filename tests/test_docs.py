@@ -46,6 +46,7 @@ DOCTEST_MODULES = [
     "repro.backends.vectorized",
     "repro.campaigns",
     "repro.campaigns.builtin",
+    "repro.campaigns.records",
     "repro.campaigns.report",
     "repro.campaigns.runner",
     "repro.campaigns.spec",

@@ -31,7 +31,7 @@ def check(source: str, path: str = "src/snippet.py", rules=None):
 # registry
 
 
-def test_all_seven_rules_registered():
+def test_every_builtin_rule_registered():
     assert list(available_rules()) == [
         "RPR001",
         "RPR002",
@@ -40,6 +40,7 @@ def test_all_seven_rules_registered():
         "RPR005",
         "RPR006",
         "RPR007",
+        "RPR008",
     ]
 
 
@@ -476,6 +477,86 @@ def test_rpr007_clean_none_default_and_typed_except():
             return []
     """
     assert ids(check(source)) == []
+
+
+# ---------------------------------------------------------------------------
+# RPR008 - unused imports
+
+
+def test_rpr008_flags_unused_names():
+    source = """\
+    import os
+    import os.path as osp
+    from json import dumps, loads
+
+    def f(text):
+        return loads(text)
+    """
+    findings = check(source)
+    assert ids(findings) == ["RPR008", "RPR008", "RPR008"]
+    assert [f.message.split("'")[1] for f in findings] == ["os", "osp", "dumps"]
+
+
+def test_rpr008_applies_to_tests_too():
+    assert ids(check("import os\n", path="tests/test_snippet.py")) == ["RPR008"]
+
+
+def test_rpr008_counts_every_kind_of_reference():
+    source = """\
+    from __future__ import annotations
+
+    import os.path
+    from typing import TYPE_CHECKING, Optional
+
+    if TYPE_CHECKING:
+        from pathlib import Path
+        from decimal import Decimal
+
+    try:
+        import fcntl
+    except ImportError:
+        fcntl = None
+
+    def f(value: Optional["Decimal"]) -> "Path":
+        return os.path.join(str(value), str(fcntl))
+
+    class Box:
+        item: "Path | None" = None
+    """
+    assert ids(check(source)) == []
+
+
+def test_rpr008_exempts_all_entries_and_package_inits():
+    reexport = """\
+    from os.path import join
+
+    __all__ = ["join"]
+    """
+    assert ids(check(reexport)) == []
+    assert ids(check("from os.path import join\n", path="src/pkg/__init__.py")) == []
+
+
+def test_rpr008_flags_each_alias_on_its_own_line():
+    source = """\
+    from json import (
+        dumps,
+        loads,
+    )
+
+    value = loads("1")
+    """
+    findings = check(source)
+    assert [(f.rule_id, f.line) for f in findings] == [("RPR008", 2)]
+
+
+def test_rpr008_justified_suppression():
+    source = "import readline  # repro: noqa[RPR008] imported for its side effect\n"
+    assert ids(check(source)) == []
+
+
+def test_rpr008_unused_suppression_reported():
+    source = "import os  # repro: noqa[RPR008] not actually unused\nx = os.sep\n"
+    assert ids(check(source)) == ["LINT001"]
 
 
 # ---------------------------------------------------------------------------

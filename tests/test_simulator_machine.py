@@ -30,7 +30,6 @@ from repro.simulator.machine import (
     WaitBarrier,
     linear_node_assignment,
 )
-from repro.platforms import cray_xt4
 
 
 def run_two_ranks(platform, program0, program1, rank_to_node=(0, 1), **kwargs):

@@ -9,7 +9,6 @@ from repro.simulator.pingpong import (
     ping_pong,
     ping_pong_sweep,
 )
-from repro.platforms import cray_xt4, ibm_sp2
 
 
 class TestPingPong:

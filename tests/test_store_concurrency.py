@@ -17,8 +17,6 @@ from __future__ import annotations
 import json
 import multiprocessing
 
-import pytest
-
 from repro.campaigns.segments import SEGMENT_NAMES
 from repro.campaigns.store import ResultStore
 
